@@ -22,16 +22,17 @@ of the edge; the tests cross-check against networkx's independent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, cast
 
 from ..graph.edge import Edge, Vertex, canonical_edge, canonical_triangle
 from ..graph.undirected import Graph
 from .bucket_queue import BucketQueue
 from .membership import CoreMembership
 
+if TYPE_CHECKING:  # repro.fast imports this module; no runtime cycle
+    from ..fast.csr import EdgeIdArrays
 
-@dataclass
+
 class TriangleKCoreResult:
     """Output of the static decomposition.
 
@@ -48,11 +49,82 @@ class TriangleKCoreResult:
         Optional :class:`CoreMembership` bookkeeping (AddToCore /
         DelFromCore state at termination); present when the decomposition was
         run with ``store_membership=True``.
+
+    The kernel backends build results with :meth:`from_edge_arrays`:
+    kappa and the processing order stay edge-id-indexed int arrays until
+    ``kappa`` or ``processing_order`` is first read, which decodes both
+    once into plain-``int`` dicts and lists and drops the arrays.
+    Until then :attr:`max_kappa` and :meth:`histogram` read the arrays
+    and do not decode; afterwards they read the dict, like every other
+    method.
     """
 
-    kappa: Dict[Edge, int]
-    processing_order: List[Edge] = field(default_factory=list)
-    membership: Optional[CoreMembership] = None
+    __slots__ = ("_kappa", "_processing_order", "_arrays", "membership")
+
+    def __init__(
+        self,
+        kappa: Dict[Edge, int],
+        processing_order: Optional[List[Edge]] = None,
+        membership: Optional[CoreMembership] = None,
+    ) -> None:
+        self._kappa: Optional[Dict[Edge, int]] = kappa
+        self._processing_order: Optional[List[Edge]] = (
+            [] if processing_order is None else processing_order
+        )
+        self._arrays: Optional["EdgeIdArrays"] = None
+        self.membership = membership
+
+    @classmethod
+    def from_edge_arrays(cls, arrays: "EdgeIdArrays") -> "TriangleKCoreResult":
+        """A result backed by kernel output, decoded on first access."""
+        result = cls.__new__(cls)
+        result._kappa = None
+        result._processing_order = None
+        result._arrays = arrays
+        result.membership = None
+        return result
+
+    def _decode(self) -> None:
+        arrays = self._arrays
+        if arrays is None:  # another thread finished decoding first
+            return
+        kappa, order = arrays.decode()
+        self._processing_order = order
+        self._kappa = kappa
+        self._arrays = None
+
+    @property
+    def kappa(self) -> Dict[Edge, int]:
+        """``{edge: kappa}`` (see the class docstring)."""
+        if self._kappa is None:
+            self._decode()
+        return self._kappa  # type: ignore[return-value]
+
+    @property
+    def processing_order(self) -> List[Edge]:
+        """Edges in Algorithm 1's freezing order (see the class docstring)."""
+        if self._processing_order is None:
+            self._decode()
+        return self._processing_order  # type: ignore[return-value]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        that = cast("TriangleKCoreResult", other)
+        return (self.kappa, self.processing_order, self.membership) == (
+            that.kappa,
+            that.processing_order,
+            that.membership,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(kappa={self.kappa!r}, "
+            f"processing_order={self.processing_order!r}, "
+            f"membership={self.membership!r})"
+        )
 
     # -------------------------------------------------------------- #
     # lookups
@@ -65,6 +137,9 @@ class TriangleKCoreResult:
     @property
     def max_kappa(self) -> int:
         """The largest :math:`\\kappa` over all edges (0 for empty graphs)."""
+        arrays = self._arrays
+        if arrays is not None:
+            return arrays.max_kappa()
         return max(self.kappa.values(), default=0)
 
     def co_clique_size(self, u: Vertex, v: Vertex) -> int:
@@ -100,6 +175,9 @@ class TriangleKCoreResult:
 
     def histogram(self) -> Dict[int, int]:
         """``{kappa value: edge count}`` — summary used by EXPERIMENTS.md."""
+        arrays = self._arrays
+        if arrays is not None:
+            return arrays.histogram()
         counts: Dict[int, int] = {}
         for value in self.kappa.values():
             counts[value] = counts.get(value, 0) + 1
@@ -132,12 +210,12 @@ def triangle_kcore_decomposition(
         :mod:`repro.fast` kernels (identical kappa maps, much faster on
         large graphs); ``"parallel"`` additionally fans the triangle
         enumeration out over a process pool (bit-identical to ``"csr"``);
-        ``"auto"`` (default) picks per the policy documented in
-        :mod:`repro.fast`.
+        ``"auto"`` (default) picks an in-process backend per the policy
+        documented in :mod:`repro.fast`.
     workers:
-        Worker-process count for the ``"parallel"`` backend (and the
-        ``"auto"`` escalation policy); ``None`` means one per CPU.
-        Ignored by the in-process backends.
+        Worker-process count for an explicitly named ``"parallel"``
+        backend; ``None`` means one per CPU.  Ignored by every other
+        backend, ``"auto"`` included.
     counters:
         Optional dict that, when provided, receives work counters at no
         measurable cost (they are derived from state the peel computes
@@ -171,9 +249,7 @@ def triangle_kcore_decomposition(
         resolve_backend,
     )
 
-    resolved = resolve_backend(
-        backend, graph, needs_reference=store_membership, workers=workers
-    )
+    resolved = resolve_backend(backend, graph, needs_reference=store_membership)
     if resolved in ("csr", "csr-vec"):
         return csr_decomposition(
             graph, counters=counters, executor=backend_executor(resolved)

@@ -97,17 +97,32 @@ def _decompose_csr_family(
             f"backend={backend!r} does not support membership bookkeeping; "
             "use backend='reference' (or 'auto')"
         )
-    from ..fast import backend_executor, csr_decomposition
+    from ..fast import (
+        CSRGraph,
+        backend_executor,
+        enumerate_arrays,
+        peel_to_result,
+    )
 
     counters: Dict[str, int] = {}
     peel_stats: Dict[str, object] = {}
-    with engine.stats.stage(f"decompose.{backend}"):
-        result = csr_decomposition(
-            graph,
-            counters=counters,
-            executor=backend_executor(backend),
-            peel_stats=peel_stats,
-        )
+    stage = engine.stats.stage
+    # The composition of fast.csr_decomposition, one sub-stage per layer.
+    # Decoding to labelled edges is not here: the result decodes on first
+    # access to .kappa/.processing_order, outside the engine.
+    with stage(f"decompose.{backend}"):
+        with stage(f"decompose.{backend}.build"):
+            csr = CSRGraph.from_graph(graph)
+        with stage(f"decompose.{backend}.enumerate"):
+            precomputed = enumerate_arrays(csr)
+        with stage(f"decompose.{backend}.peel"):
+            result = peel_to_result(
+                csr,
+                precomputed,
+                counters,
+                executor=backend_executor(backend),
+                peel_stats=peel_stats,
+            )
     engine.stats.merge_counters(counters)
     engine.stats.record_peel(peel_stats)
     return result
@@ -255,11 +270,11 @@ class Engine:
         incremental below the measured churn crossover, one recompute
         above it).
     workers:
-        Worker-process count for the ``"parallel"`` backend, and the
-        input to ``"auto"``'s parallel-escalation policy.  ``None``
+        Worker-process count for the ``"parallel"`` backends.  ``None``
         (default) means one per CPU; ``1`` disables pool spawning
         entirely (the parallel backend then runs its in-process
-        short-circuit and ``"auto"`` never escalates past ``"csr"``).
+        short-circuit).  ``"auto"`` never resolves to a parallel backend,
+        so it ignores this.
     spill_dir:
         Spill directory for the ``"external"`` backend.  ``None``
         (default) uses a private temporary directory per decomposition,
@@ -374,9 +389,11 @@ class Engine:
     ) -> str:
         """Resolve a requested backend name to a concrete registry entry.
 
-        ``None`` means the engine default; ``"auto"`` picks reference/csr
-        by the :mod:`repro.fast` size policy (and degrades to reference
-        when membership bookkeeping is requested).
+        ``None`` means the engine default; ``"auto"`` picks an
+        in-process backend (or ``"external"`` over the memory budget) by
+        the :mod:`repro.fast` size policy, and degrades to reference when
+        membership bookkeeping is requested.  ``workers`` does not steer
+        it.
         """
         name = self.default_backend if backend is None else backend
         if name == "auto":
@@ -386,7 +403,6 @@ class Engine:
                 "auto",
                 graph,
                 needs_reference=store_membership,
-                workers=self.workers,
                 memory_budget=self.memory_budget,
             )
         if name not in self._registry:

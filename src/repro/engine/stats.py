@@ -42,6 +42,14 @@ section; every key of each older schema is present unchanged in the
 next, so readers of the old schemas keep working (the compatibility
 test pins this).
 
+Stage names nest with dots.  ``decompose.csr`` and ``decompose.csr-vec``
+contain one sub-stage per kernel layer — ``.build`` (Graph → CSR),
+``.enumerate`` (triangle listing) and ``.peel`` (Algorithm 1) — whose
+sum never exceeds the parent; these are additive keys within ``/6``.
+Decoding the result to labelled edges is not a stage: kernel results
+decode lazily, on the first ``.kappa``/``.processing_order`` access,
+outside the engine.
+
 Counter values are exact, not sampled: the static counters are derived
 from state Algorithm 1 computes anyway (see the ``counters`` hook on
 :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`), and the

@@ -20,9 +20,10 @@ package provides the fast paths behind ``backend="csr"``, ``"csr-vec"``,
 * **L3 — peel executor**: :mod:`~repro.fast.peelers` — Algorithm 1
   behind the :class:`~repro.fast.peelers.PeelExecutor` seam: the scalar
   bucket-queue walk or the vectorized level-synchronous executor;
-* **L4 — dispatch**: this module — decoding kernel output back into the
-  public dict-based API and the ``backend`` policy composing
-  substrate × enumeration × executor for every entry point.
+* **L4 — dispatch**: this module — wrapping kernel output in the
+  array-backed public result (see "Results" below) and the ``backend``
+  policy composing substrate × enumeration × executor for every entry
+  point.
 
 Backends
 --------
@@ -59,25 +60,41 @@ Backends
     graph size.  Bit-identical to ``"csr"`` (kappa) *and* ``"csr-vec"``
     (canonical processing order) for any partition count.
 ``"auto"``
-    By measured tiering: ``"external"`` when a ``memory_budget`` is
-    configured and the estimated CSR payload exceeds it (or the graph
-    has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else
-    ``"parallel-vec"`` (or ``"parallel"`` without numpy) for static
-    calls on graphs with at least :data:`AUTO_PARALLEL_MIN_EDGES` edges
-    when more than one CPU is available; else ``"csr-vec"`` at or above
-    :data:`AUTO_VECTOR_MIN_EDGES` edges when numpy is present; else
-    ``"csr"`` at or above :data:`AUTO_MIN_EDGES` (snapshot construction
-    overhead dominates below that); else ``"reference"`` — and always
-    ``"reference"`` whenever membership bookkeeping is requested.
+    By measured tiering, always in process: ``"external"`` when a
+    ``memory_budget`` is configured and the estimated CSR payload exceeds
+    it (or the graph has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges);
+    else ``"csr-vec"`` at or above :data:`AUTO_VECTOR_MIN_EDGES` edges when
+    numpy is present; else ``"csr"`` at or above :data:`AUTO_MIN_EDGES`
+    (snapshot construction overhead dominates below that); else
+    ``"reference"`` — and always ``"reference"`` whenever membership
+    bookkeeping is requested.  ``"auto"`` never picks the process-parallel
+    backends: their pool spawn costs more than the sharded enumeration
+    saves (only named explicitly do they run), so ``workers`` does not
+    steer it.
+
+Results
+-------
+
+Every kernel backend returns a
+:class:`~repro.core.triangle_kcore.TriangleKCoreResult` backed by
+edge-id-indexed kappa and processing-order arrays
+(:class:`~repro.fast.csr.EdgeIdArrays`): ``max_kappa`` and
+``histogram()`` read the arrays, and the labelled ``kappa`` dict and
+``processing_order`` list are decoded once, on first access.  On the
+numpy path enumeration, peel and result hand int64 ndarrays to each other
+(:func:`~repro.fast.kernels.enumerate_arrays`,
+:func:`~repro.fast.peelers.peel_arrays`, :func:`peel_to_result`); the
+public :func:`supports_and_triangles`, :func:`peel` and
+:meth:`CSRGraph.edge_labels` keep returning lists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..graph.edge import Edge
 from ..graph.undirected import Graph
-from .csr import CSRGraph
+from .csr import CSRGraph, EdgeIdArrays, IntSeq, int_sum
 from .external import (
     ExternalCSR,
     SpillError,
@@ -87,7 +104,13 @@ from .external import (
     inject_boundary_drop_bug,
     spill_edges,
 )
-from .kernels import peel, supports_and_triangles, triangle_count, triangle_supports
+from .kernels import (
+    enumerate_arrays,
+    peel,
+    supports_and_triangles,
+    triangle_count,
+    triangle_supports,
+)
 from .parallel import (
     BackendError,
     effective_workers,
@@ -97,12 +120,11 @@ from .parallel import (
     parallel_supports_and_triangles,
     shard_ranges,
 )
-from .peelers import PEEL_EXECUTORS, run_peel
+from .peelers import PEEL_EXECUTORS, peel_arrays, run_peel
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
     "AUTO_MIN_EDGES",
-    "AUTO_PARALLEL_MIN_EDGES",
     "AUTO_VECTOR_MIN_EDGES",
     "BACKENDS",
     "BackendError",
@@ -158,12 +180,6 @@ AUTO_MIN_EDGES = 1024
 #: per frontier to amortize the array passes — and wins 2-3x above it).
 AUTO_VECTOR_MIN_EDGES = 32768
 
-#: "auto" escalates to the sharded enumeration at this edge count, provided
-#: more than one CPU is available (measured in
-#: benchmarks/bench_parallel_backend.py — below it the pool spawn costs
-#: more than the sharded enumeration saves).
-AUTO_PARALLEL_MIN_EDGES = 65536
-
 #: "auto" escalates to the out-of-core backend at this edge count even
 #: without an explicit memory budget — the point where the in-RAM
 #: triangle list (24 bytes/triangle plus the O(3T) incidence the peel
@@ -198,19 +214,18 @@ def resolve_backend(
     graph: Graph,
     *,
     needs_reference: bool = False,
-    workers: Optional[int] = None,
     memory_budget: Optional[int] = None,
 ) -> str:
     """Resolve ``backend`` to a concrete kernel composition.
 
     Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"``,
-    ``"parallel"``, ``"parallel-vec"`` or ``"external"``.
+    ``"parallel"``, ``"parallel-vec"`` or ``"external"`` — the two
+    parallel compositions only when named explicitly.
     ``needs_reference`` marks calls the kernels cannot serve (currently:
     membership bookkeeping); ``"auto"`` then degrades silently while an
     explicit kernel backend raises, so callers never get an answer
-    computed differently from what they asked for.  ``workers`` feeds the
-    ``"auto"`` policy's parallel escalation (``None`` = one per CPU);
-    ``memory_budget`` (bytes) feeds its out-of-core escalation — when the
+    computed differently from what they asked for.  ``memory_budget``
+    (bytes) feeds the ``"auto"`` out-of-core escalation — when the
     estimated CSR payload would exceed the budget, ``"auto"`` spills.
     """
     if backend not in BACKENDS:
@@ -234,18 +249,12 @@ def resolve_backend(
         return backend
     from . import csr as _csr_mod
 
-    has_numpy = _csr_mod.np is not None
     if graph.num_edges >= AUTO_EXTERNAL_MIN_EDGES or (
         memory_budget is not None
         and estimated_payload_nbytes(graph) > memory_budget
     ):
         return "external"
-    if (
-        graph.num_edges >= AUTO_PARALLEL_MIN_EDGES
-        and effective_workers(workers) > 1
-    ):
-        return "parallel-vec" if has_numpy else "parallel"
-    if has_numpy and graph.num_edges >= AUTO_VECTOR_MIN_EDGES:
+    if _csr_mod.np is not None and graph.num_edges >= AUTO_VECTOR_MIN_EDGES:
         return "csr-vec"
     return "csr" if graph.num_edges >= AUTO_MIN_EDGES else "reference"
 
@@ -280,20 +289,22 @@ def parallel_triangle_supports(
     return dict(zip(csr.edge_labels(), supports))
 
 
-def _decode_decomposition(
+def peel_to_result(
     csr: CSRGraph,
-    precomputed: Tuple[List[int], List[int]],
+    precomputed: Tuple[IntSeq, IntSeq],
     counters: Optional[Dict[str, int]] = None,
     *,
     executor: str = "scalar",
     peel_stats: Optional[Dict[str, object]] = None,
 ) -> "TriangleKCoreResult":  # noqa: F821
-    """Peel ``precomputed`` and decode into the public result type.
+    """Peel ``precomputed`` into an array-backed public result.
 
-    Shared tail of every kernel backend: given the ``(supports,
-    tri_edges)`` pair — however it was computed — run the selected
-    Algorithm 1 peel executor and translate edge ids back to canonical
-    label tuples.  ``counters`` mirrors the instrumentation hook of
+    Shared tail of every in-RAM kernel backend: given the ``(supports,
+    tri_edges)`` pair — however it was computed, lists or int64 ndarrays —
+    run the selected Algorithm 1 peel executor and wrap the edge-id
+    ``(kappa, order)`` arrays with the snapshot's labels and
+    ``edge_endpoints``; the labelled dict and list are decoded on first
+    access.  ``counters`` mirrors the instrumentation hook of
     :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`;
     ``peel_stats`` receives the executor telemetry
     (:data:`~repro.fast.peelers.PeelStats`).
@@ -301,19 +312,19 @@ def _decode_decomposition(
     # Imported lazily: repro.core.triangle_kcore dispatches into this module.
     from ..core.triangle_kcore import TriangleKCoreResult
 
-    kappa_by_eid, order_by_eid = peel(
-        csr, precomputed, executor=executor, stats=peel_stats
+    supports, tri_edges = precomputed
+    kappa_by_eid, order_by_eid = peel_arrays(
+        csr.num_edges, supports, tri_edges, executor=executor, stats=peel_stats
     )
-    edges = csr.edge_labels()
-    kappa: Dict[Edge, int] = dict(zip(edges, kappa_by_eid))
-    processing_order: List[Edge] = list(map(edges.__getitem__, order_by_eid))
     if counters is not None:
-        support_sum = int(sum(precomputed[0]))
+        support_sum = int_sum(supports)
         counters["triangles_enumerated"] = support_sum // 3
         counters["support_sum"] = support_sum
-        counters["edges_peeled"] = len(kappa)
-        counters["bucket_decrements"] = support_sum - int(sum(kappa_by_eid))
-    return TriangleKCoreResult(kappa=kappa, processing_order=processing_order)
+        counters["edges_peeled"] = csr.num_edges
+        counters["bucket_decrements"] = support_sum - int_sum(kappa_by_eid)
+    return TriangleKCoreResult.from_edge_arrays(
+        EdgeIdArrays(csr.labels, csr.edge_endpoints, kappa_by_eid, order_by_eid)
+    )
 
 
 def csr_decomposition(
@@ -323,7 +334,7 @@ def csr_decomposition(
     executor: str = "scalar",
     peel_stats: Optional[Dict[str, object]] = None,
 ) -> "TriangleKCoreResult":  # noqa: F821
-    """Algorithm 1 via the CSR kernels, decoded to the public result type.
+    """Algorithm 1 via the CSR kernels, as an array-backed public result.
 
     ``executor`` selects the peel executor (L3): ``"scalar"`` is
     ``backend="csr"``, ``"vector"`` is ``backend="csr-vec"``.
@@ -333,7 +344,10 @@ def csr_decomposition(
     ``peel_stats`` receives the executor telemetry.
     """
     csr = CSRGraph.from_graph(graph)
-    precomputed = supports_and_triangles(csr)
-    return _decode_decomposition(
-        csr, precomputed, counters, executor=executor, peel_stats=peel_stats
+    return peel_to_result(
+        csr,
+        enumerate_arrays(csr),
+        counters,
+        executor=executor,
+        peel_stats=peel_stats,
     )

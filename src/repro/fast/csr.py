@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..graph.edge import Edge, Vertex, canonical_edge
 from ..graph.undirected import Graph
@@ -62,6 +62,135 @@ def _degree_order(graph: Graph) -> List[Vertex]:
     labels = list(graph.vertices())
     labels.sort(key=graph.degree)
     return labels
+
+
+#: The relabeling lookup table of the int-label build costs one int64 per
+#: value in ``[min label, max label]``; beyond this many values per vertex
+#: the build falls back to the ``index`` dict.
+_LUT_SPAN_PER_VERTEX = 4
+
+
+#: An edge-id-indexed int column: a ``list``, an ``array("q")`` or, on the
+#: numpy path, an int64 ndarray.
+IntSeq = Sequence[int]
+
+
+def _int_label_array(labels: Sequence[Vertex]) -> "object":
+    """``labels`` as an int64 ndarray when numpy can take them exactly.
+
+    ``None`` unless numpy is present, there is at least one label and every
+    label's type is exactly ``int`` (``bool`` and mixed labels fall back, so
+    a vectorized path never changes what ``canonical_edge`` would return).
+    """
+    if np is None or not labels or set(map(type, labels)) != {int}:
+        return None
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:  # pragma: no cover - astronomically big ids
+        return None
+
+
+def decode_edge_labels(
+    labels: Sequence[Vertex], edge_endpoints: IntSeq
+) -> List[Edge]:
+    """Canonical original-label edges indexed by edge id.
+
+    ``edge_endpoints`` is the flat ``(lo, hi)`` id-pair column of a
+    :class:`CSRGraph` (any int64 store); ``labels[i]`` is the label of id
+    ``i``.
+    """
+    label_arr = _int_label_array(labels) if len(edge_endpoints) else None
+    if label_arr is not None:
+        # Homogeneous int labels (every generator and dataset loader):
+        # canonicalize all pairs with two vectorized min/max passes and
+        # build the tuples with one C-level zip.
+        endpoints = np.frombuffer(edge_endpoints, dtype=np.int64)
+        a = label_arr[endpoints[0::2]]
+        b = label_arr[endpoints[1::2]]
+        return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    pairs = iter(edge_endpoints.tolist())  # type: ignore[attr-defined]
+    edges: List[Edge] = []
+    append = edges.append
+    for lo, hi in zip(pairs, pairs):
+        a = labels[lo]
+        b = labels[hi]
+        try:  # inlined canonical_edge fast path (hot on decode)
+            append((a, b) if a <= b else (b, a))  # type: ignore[operator]
+        except TypeError:
+            append(canonical_edge(a, b))
+    return edges
+
+
+def int_list(values: IntSeq) -> List[int]:
+    """``values`` as a list of plain ``int`` (lists pass through as-is)."""
+    if isinstance(values, list):
+        return values
+    return values.tolist()  # type: ignore[attr-defined]
+
+
+def int_sum(values: IntSeq) -> int:
+    """Sum of an int column as a plain ``int`` (vectorized for ndarrays)."""
+    if np is not None and isinstance(values, np.ndarray):
+        return int(values.sum())
+    return sum(values)
+
+
+class EdgeIdArrays:
+    """Kernel output by edge id, plus what decoding it to labels needs.
+
+    Every kernel backend hands this to
+    :meth:`~repro.core.triangle_kcore.TriangleKCoreResult.from_edge_arrays`
+    instead of labelled dicts: ``kappa[e]`` and the edge-id processing
+    ``order`` stay int arrays (int64 ndarrays on the numpy path, lists
+    otherwise), and only ``labels`` and ``edge_endpoints`` of the snapshot
+    are kept — not the whole CSR.  Summaries read the arrays directly;
+    :meth:`decode` builds the labelled dict and list once, on demand.
+    """
+
+    __slots__ = ("labels", "edge_endpoints", "kappa", "order")
+
+    def __init__(
+        self,
+        labels: Sequence[Vertex],
+        edge_endpoints: IntSeq,
+        kappa: IntSeq,
+        order: IntSeq,
+    ) -> None:
+        self.labels = labels
+        self.edge_endpoints = edge_endpoints
+        self.kappa = kappa
+        self.order = order
+
+    def _ndarray(self) -> "object":
+        if np is not None and isinstance(self.kappa, np.ndarray):
+            return self.kappa
+        return None
+
+    def max_kappa(self) -> int:
+        """Largest kappa (0 when there are no edges)."""
+        arr = self._ndarray()
+        if arr is not None:
+            return int(arr.max()) if arr.size else 0
+        return max(int_list(self.kappa), default=0)
+
+    def histogram(self) -> Dict[int, int]:
+        """``{kappa: edge count}`` in ascending kappa order, plain ints."""
+        arr = self._ndarray()
+        if arr is not None:
+            counts = np.bincount(arr)
+            present = np.flatnonzero(counts)
+            return dict(zip(present.tolist(), counts[present].tolist()))
+        histogram: Dict[int, int] = {}
+        for value in int_list(self.kappa):
+            histogram[value] = histogram.get(value, 0) + 1
+        return dict(sorted(histogram.items()))
+
+    def decode(self) -> Tuple[Dict[Edge, int], List[Edge]]:
+        """``({edge: kappa}, processing order)`` in original labels."""
+        edges = decode_edge_labels(self.labels, self.edge_endpoints)
+        kappa = dict(zip(edges, int_list(self.kappa)))
+        order = list(map(edges.__getitem__, int_list(self.order)))
+        return kappa, order
 
 
 class CSRGraph:
@@ -259,23 +388,11 @@ class CSRGraph:
 
     def _build_numpy(self, graph: Graph) -> None:
         assert np is not None
-        index = self.index
         n = self.num_vertices
         m = self.num_edges
         # Iterating labels in id order makes the src column pre-sorted.
-        degree_list: List[int] = []
-        dst_list: List[int] = []
-        extend = dst_list.extend
-        get = index.__getitem__
-        for label in self.labels:
-            neighbors = graph.neighbors(label)
-            degree_list.append(len(neighbors))
-            extend(map(get, neighbors))
-        degrees = np.array(degree_list, dtype=np.int64)
+        degrees, dst = self._neighbor_ids(graph)
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst = np.array(dst_list, dtype=np.int64) if dst_list else np.empty(
-            0, dtype=np.int64
-        )
         # Sorting the combined key src*n + dst orders arcs by (src, dst) in
         # ONE flat sort: each src block owns the disjoint key range
         # [src*n, src*n + n), so a global sort cannot interleave blocks —
@@ -289,15 +406,18 @@ class CSRGraph:
 
         # Arcs are (src, dst)-sorted, so the forward subsequence (src < dst)
         # is already in lexicographic (lo, hi) order: a forward arc's rank in
-        # that subsequence IS its edge id, and backward arcs find theirs by
-        # one searchsorted over the (sorted) forward keys.
+        # that subsequence IS its edge id.  Reversed, the backward arcs are
+        # the same m (lo, hi) keys in another order, so sorting them ranks
+        # each one — one argsort instead of m searchsorted probes.
         forward = src < dst
         backward = ~forward
         arc_eids = np.empty(2 * m, dtype=np.int64)
         arc_eids[forward] = np.arange(m, dtype=np.int64)
-        arc_eids[backward] = np.searchsorted(
-            keys[forward], dst[backward] * n + src[backward]
+        backward_eids = np.empty(m, dtype=np.int64)
+        backward_eids[np.argsort(dst[backward] * n + src[backward])] = np.arange(
+            m, dtype=np.int64
         )
+        arc_eids[backward] = backward_eids
         edge_endpoints = np.empty(2 * m, dtype=np.int64)
         edge_endpoints[0::2] = src[forward]
         edge_endpoints[1::2] = dst[forward]
@@ -314,6 +434,37 @@ class CSRGraph:
         self.arc_eids = array("q", arc_eids.astype(np.int64).tobytes())
         self.forward_start = array("q", forward_start.tobytes())
         self.edge_endpoints = array("q", edge_endpoints.tobytes())
+
+    def _neighbor_ids(self, graph: Graph) -> Tuple["object", "object"]:
+        """``(degrees, dst)`` int64 arrays: every vertex's neighbor ids, in id
+        order (numpy path).
+
+        Integer labels spanning few values per vertex skip the ``index``
+        dict: the raw labels are collected with C-level ``list.extend`` and
+        relabeled by one lookup-table gather.  Every other label set maps
+        each neighbor through ``index``.  Both give the same arrays.
+        """
+        assert np is not None
+        label_arr = _int_label_array(self.labels)
+        if label_arr is not None:
+            low = int(label_arr.min())
+            span = int(label_arr.max()) - low + 1
+            if span > _LUT_SPAN_PER_VERTEX * self.num_vertices:
+                label_arr = None
+        relabel = label_arr is None
+        get = self.index.__getitem__
+        degree_list: List[int] = []
+        dst_list: List[int] = []
+        extend = dst_list.extend
+        for neighbors in map(graph.neighbors, self.labels):
+            degree_list.append(len(neighbors))
+            extend(map(get, neighbors) if relabel else neighbors)
+        dst = np.array(dst_list, dtype=np.int64)
+        if not relabel:
+            lookup = np.empty(span, dtype=np.int64)
+            lookup[label_arr - low] = np.arange(self.num_vertices, dtype=np.int64)
+            dst = lookup[dst - low]
+        return np.array(degree_list, dtype=np.int64), dst
 
     # ------------------------------------------------------------------ #
     # queries / decoding
@@ -344,37 +495,7 @@ class CSRGraph:
 
     def edge_labels(self) -> List[Edge]:
         """Canonical original-label edges indexed by edge id (length m)."""
-        labels = self.labels
-        if (
-            np is not None
-            and self.num_edges
-            and set(map(type, labels)) == {int}
-        ):
-            # Homogeneous int labels (every generator and dataset loader):
-            # canonicalize all pairs with two vectorized min/max passes and
-            # build the tuples with one C-level zip.
-            try:
-                label_arr = np.array(labels, dtype=np.int64)
-            except OverflowError:  # pragma: no cover - astronomically big ids
-                pass
-            else:
-                endpoints = np.frombuffer(self.edge_endpoints, dtype=np.int64)
-                a = label_arr[endpoints[0::2]]
-                b = label_arr[endpoints[1::2]]
-                lo = np.minimum(a, b).tolist()
-                hi = np.maximum(a, b).tolist()
-                return list(zip(lo, hi))
-        pairs = iter(self.edge_endpoints.tolist())
-        edges: List[Edge] = []
-        append = edges.append
-        for lo, hi in zip(pairs, pairs):
-            a = labels[lo]
-            b = labels[hi]
-            try:  # inlined canonical_edge fast path (hot on decode)
-                append((a, b) if a <= b else (b, a))  # type: ignore[operator]
-            except TypeError:
-                append(canonical_edge(a, b))
-        return edges
+        return decode_edge_labels(self.labels, self.edge_endpoints)
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"

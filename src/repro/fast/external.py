@@ -80,7 +80,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import SpillError
 from . import csr as _csr_mod
-from .csr import CSRGraph
+from .csr import CSRGraph, EdgeIdArrays, int_sum
 from .kernels import supports_and_triangles
 
 __all__ = [
@@ -1119,7 +1119,9 @@ def _external_peel_numpy(
             bounds[dropped] = level
             frontier = dropped
     order = (
-        np.concatenate(order_chunks).tolist() if order_chunks else []
+        np.concatenate(order_chunks)
+        if order_chunks
+        else np.empty(0, dtype=np.int64)
     )
     stats["executor"] = "external"
     stats["levels"] = levels
@@ -1129,7 +1131,7 @@ def _external_peel_numpy(
     for tri3 in maps:
         if tri3 is not None:
             _release_memmap(tri3)
-    return kappa.tolist(), order
+    return kappa, order
 
 
 def live_len(tri3: "object") -> int:
@@ -1284,10 +1286,11 @@ def decompose_spill(
     exact (values below it may be underestimates — see the module
     docstring), which is the filtered-query contract.
 
-    ``decode=False`` skips the label decode and returns the raw
-    ``(kappa_by_eid, order_by_eid)`` sequences — decoding builds O(m)
-    Python tuples, which dwarfs the out-of-core working set on the graphs
-    this backend exists for (the RSS-capped benchmark uses this).
+    The result is array-backed: kappa and order are decoded to labelled
+    edges only when first read.  ``decode=False`` returns the raw
+    ``(kappa_by_eid, order_by_eid)`` sequences instead (int64 ndarrays on
+    the numpy path), without the labels and the private copy of the
+    endpoint column a result keeps — the RSS-capped benchmark uses this.
     """
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
@@ -1356,21 +1359,21 @@ def decompose_spill(
     if info is not None:
         info.update(run_info)
     if counters is not None:
-        support_sum = int(
-            supports.sum() if np is not None else sum(supports)
-        )
+        support_sum = int_sum(supports)
         counters["triangles_enumerated"] = support_sum // 3
         counters["support_sum"] = support_sum
         counters["edges_peeled"] = m
-        counters["bucket_decrements"] = support_sum - int(sum(kappa_by_eid))
+        counters["bucket_decrements"] = support_sum - int_sum(kappa_by_eid)
     if not decode:
         return kappa_by_eid, order_by_eid
     from ..core.triangle_kcore import TriangleKCoreResult
 
-    edges = csr.edge_labels()
-    kappa = dict(zip(edges, kappa_by_eid))
-    processing_order = list(map(edges.__getitem__, order_by_eid))
-    return TriangleKCoreResult(kappa=kappa, processing_order=processing_order)
+    # The result outlives the maps: keep a private copy of the endpoints.
+    endpoints = array("q")
+    endpoints.frombytes(memoryview(csr.edge_endpoints).cast("B"))
+    return TriangleKCoreResult.from_edge_arrays(
+        EdgeIdArrays(csr.labels, endpoints, kappa_by_eid, order_by_eid)
+    )
 
 
 def external_decomposition(
@@ -1384,7 +1387,7 @@ def external_decomposition(
     peel_stats: Optional[Dict[str, object]] = None,
     info: Optional[ExternalInfo] = None,
 ) -> "object":
-    """Algorithm 1 via the out-of-core backend, decoded to the result type.
+    """Algorithm 1 via the out-of-core backend, as an array-backed result.
 
     Spills ``graph`` into ``spill_dir`` (a private temporary directory
     when None, removed afterwards) and decomposes it partition by

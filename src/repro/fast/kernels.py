@@ -19,9 +19,11 @@ implementation comes from:
   "processed" set; ``"vector"`` peels level-synchronously with batched
   numpy decrement passes.
 
-All kernels return plain Python ``list`` objects: at these sizes list
-indexing beats ``array``/numpy scalar indexing inside interpreted loops,
-and callers immediately decode into the public dict-based API anyway.
+The public kernels return plain Python ``list`` objects: at these sizes
+list indexing beats ``array``/numpy scalar indexing inside interpreted
+loops.  :func:`enumerate_arrays` is the array-native variant the backends
+chain into the peel executors, so the numpy path never round-trips
+through lists between enumeration, peel and result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import csr as _csr_mod
-from .csr import CSRGraph
+from .csr import CSRGraph, IntSeq, int_list
 
 
 def _forward_wedges(csr: CSRGraph, lo: int = 0, hi: Optional[int] = None):
@@ -150,6 +152,24 @@ def supports_and_triangles(
     same triangles in the same order, so downstream results are identical
     with and without numpy — the test suite asserts it.
     """
+    supports, tri_edges = enumerate_arrays(
+        csr, record_triangles=record_triangles, lo=lo, hi=hi
+    )
+    return int_list(supports), int_list(tri_edges)
+
+
+def enumerate_arrays(
+    csr: CSRGraph,
+    *,
+    record_triangles: bool = True,
+    lo: int = 0,
+    hi: Optional[int] = None,
+) -> Tuple[IntSeq, IntSeq]:
+    """:func:`supports_and_triangles` without the list conversion.
+
+    On the numpy path both outputs stay int64 ndarrays, which is what the
+    vector peel consumes; the pure path returns the same lists.
+    """
     if hi is None:
         hi = csr.num_vertices
     np = _csr_mod.np
@@ -160,12 +180,9 @@ def supports_and_triangles(
         supports = np.bincount(
             np.concatenate((e_uv, e_uw, e_vw)), minlength=csr.num_edges
         )
-        tri_edges: List[int] = (
-            np.stack((e_uv, e_uw, e_vw), axis=1).ravel().tolist()
-            if record_triangles
-            else []
-        )
-        return supports.tolist(), tri_edges
+        if not record_triangles:
+            return supports, []
+        return supports, np.stack((e_uv, e_uw, e_vw), axis=1).ravel()
 
     indptr = csr.indptr.tolist()
     indices = csr.indices.tolist()

@@ -443,7 +443,7 @@ def parallel_decomposition(
     ``shard_seconds``/``transport``/``bytes_shipped``; ``peel_stats``
     receives the peel executor's telemetry.
     """
-    from . import _decode_decomposition
+    from . import peel_to_result
 
     count = effective_workers(workers)
     if count <= 1 and not _SHARD_MERGE_BUG:
@@ -462,7 +462,7 @@ def parallel_decomposition(
     precomputed = parallel_supports_and_triangles(
         csr, workers=count, inprocess=inprocess, info=info, transport=transport
     )
-    return _decode_decomposition(
+    return peel_to_result(
         csr, precomputed, counters, executor=executor, peel_stats=peel_stats
     )
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import csr as _csr_mod
+from .csr import IntSeq, int_list, int_sum
 
 __all__ = [
     "PEEL_EXECUTORS",
@@ -59,6 +60,7 @@ __all__ = [
     "PeelStats",
     "ScalarPeel",
     "VectorPeel",
+    "peel_arrays",
     "resolve_peel_executor",
     "run_peel",
 ]
@@ -98,8 +100,9 @@ class PeelExecutor:
 
     Implementations must be pure functions of their inputs (no hidden
     state) and must produce a kappa array identical to Algorithm 1's and a
-    processing order that is non-decreasing in kappa.  ``run`` may assume
-    the inputs are consistent — :func:`run_peel` validates once on entry.
+    processing order that is non-decreasing in kappa.  Inputs are lists or
+    int64 ndarrays (:data:`~repro.fast.csr.IntSeq`); ``run`` may assume
+    they are consistent — :func:`peel_arrays` validates once on entry.
     """
 
     name: str = "abstract"
@@ -107,10 +110,10 @@ class PeelExecutor:
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[IntSeq, IntSeq]:
         raise NotImplementedError
 
 
@@ -122,17 +125,19 @@ class ScalarPeel(PeelExecutor):
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
     ) -> Tuple[List[int], List[int]]:
         np = _csr_mod.np
-        bounds = list(supports)  # mutated in place: the tilde-kappa array
         if np is not None:
             # Same layouts as the pure counting sorts below, built
             # vectorized: stable argsort groups by value with ids ascending
             # inside a group, exactly the order the ascending fill produces.
-            sup = np.array(supports, dtype=np.int64)
+            sup = np.asarray(supports, dtype=np.int64)
+            tri_np = np.asarray(tri_edges, dtype=np.int64)
+            bounds = sup.tolist()  # mutated in place: the tilde-kappa array
+            tri_edges = int_list(tri_edges)  # indexed in the hot loop
             order = np.argsort(sup, kind="stable")
             sorted_edges = order.tolist()
             pos = np.empty(m, dtype=np.int64)
@@ -141,12 +146,12 @@ class ScalarPeel(PeelExecutor):
             bucket_start = np.concatenate(
                 ([0], np.cumsum(np.bincount(sup)))
             ).tolist()
-            tri_np = np.array(tri_edges, dtype=np.int64)
             incidence = (np.argsort(tri_np, kind="stable") // 3).tolist()
             tri_start = np.concatenate(
                 ([0], np.cumsum(np.bincount(tri_np, minlength=m)))
             ).tolist()
         else:
+            bounds = list(supports)  # mutated in place: the tilde-kappa array
             tri_start, incidence = _edge_triangle_incidence(supports, tri_edges)
 
             # Bucket sort by support: sorted_edges holds edge ids grouped by
@@ -237,10 +242,10 @@ class VectorPeel(PeelExecutor):
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[IntSeq, IntSeq]:
         if _csr_mod.np is not None:
             return self._run_numpy(m, supports, tri_edges, stats)
         return self._run_pure(m, supports, tri_edges, stats)
@@ -248,13 +253,13 @@ class VectorPeel(PeelExecutor):
     def _run_numpy(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats],
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[IntSeq, IntSeq]:
         np = _csr_mod.np
-        bounds = np.array(supports, dtype=np.int64)
-        tri = np.array(tri_edges, dtype=np.int64)
+        bounds = np.array(supports, dtype=np.int64)  # a copy: mutated below
+        tri = np.asarray(tri_edges, dtype=np.int64)
         num_tris = tri.size // 3
         tri3 = tri.reshape(num_tris, 3)
         # Edge → triangle incidence as a CSR over edge ids: a stable argsort
@@ -310,16 +315,17 @@ class VectorPeel(PeelExecutor):
                 dropped = touched[bounds[touched] <= level]
                 bounds[dropped] = level  # clamp: kappa never undershoots
                 frontier = dropped
-        if order_chunks:
-            order = np.concatenate(order_chunks).tolist()
-        else:
-            order = []
+        order = (
+            np.concatenate(order_chunks)
+            if order_chunks
+            else np.empty(0, dtype=np.int64)
+        )
         if stats is not None:
             stats["executor"] = self.name
             stats["levels"] = levels
             stats["batched_decrements"] = batched
             stats["bound_skips"] = skips
-        return kappa.tolist(), order
+        return kappa, order
 
     def _run_pure(
         self,
@@ -420,17 +426,37 @@ def resolve_peel_executor(name: str) -> PeelExecutor:
 
 def run_peel(
     m: int,
-    supports: List[int],
-    tri_edges: List[int],
+    supports: IntSeq,
+    tri_edges: IntSeq,
     *,
     executor: str = "scalar",
     stats: Optional[PeelStats] = None,
 ) -> Tuple[List[int], List[int]]:
     """Validated entry point: peel ``(supports, tri_edges)`` with ``executor``.
 
-    Returns ``(kappa, processing_order)`` indexed by edge id.  Raises
-    ``ValueError`` when the inputs are mutually inconsistent (each triangle
-    contributes exactly 3 to the support sum) or the executor is unknown.
+    Returns ``(kappa, processing_order)`` indexed by edge id, as lists.
+    Raises ``ValueError`` when the inputs are mutually inconsistent (each
+    triangle contributes exactly 3 to the support sum) or the executor is
+    unknown.
+    """
+    kappa, order = peel_arrays(
+        m, supports, tri_edges, executor=executor, stats=stats
+    )
+    return int_list(kappa), int_list(order)
+
+
+def peel_arrays(
+    m: int,
+    supports: IntSeq,
+    tri_edges: IntSeq,
+    *,
+    executor: str = "scalar",
+    stats: Optional[PeelStats] = None,
+) -> Tuple[IntSeq, IntSeq]:
+    """:func:`run_peel` without the list conversion.
+
+    Accepts lists or int64 ndarrays; the vector executor's numpy path
+    returns int64 ndarrays, every other path lists.
     """
     impl = resolve_peel_executor(executor)
     if m == 0:
@@ -440,7 +466,7 @@ def run_peel(
             stats["batched_decrements"] = 0
             stats["bound_skips"] = 0
         return [], []
-    if sum(supports) != len(tri_edges):
+    if int_sum(supports) != len(tri_edges):
         raise ValueError(
             "precomputed supports/triangles disagree; pass the output of "
             "supports_and_triangles(csr, record_triangles=True)"

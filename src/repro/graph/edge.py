@@ -44,16 +44,40 @@ def canonical_edge(u: Vertex, v: Vertex) -> Edge:
         return (v, u)
 
 
+def _precedes(u: Vertex, v: Vertex) -> bool:
+    """True when ``canonical_edge(u, v)`` keeps ``u`` first."""
+    try:
+        return bool(u <= v)  # type: ignore[operator]
+    except TypeError:
+        return _order_key(u) <= _order_key(v)
+
+
 def canonical_triangle(u: Vertex, v: Vertex, w: Vertex) -> Triangle:
     """Return the canonical representation of the triangle ``{u, v, w}``.
 
+    The vertices are ordered by the same pairwise rule as
+    :func:`canonical_edge`, so ``(a, b)``, ``(a, c)`` and ``(b, c)`` of the
+    result are canonical edges even when the labels mix types — native
+    comparison between two ints, the ``(type name, repr)`` fallback only
+    between labels that cannot be compared.
+
     >>> canonical_triangle(3, 1, 2)
     (1, 2, 3)
+    >>> canonical_triangle(127, "6", 61)
+    (61, 127, '6')
     """
     try:
         a, b, c = sorted((u, v, w))  # type: ignore[type-var]
     except TypeError:
+        # Start from the total (type name, repr) order so the result does
+        # not depend on argument order, then sort by the pairwise rule.
         a, b, c = sorted((u, v, w), key=_order_key)
+        if not _precedes(a, b):
+            a, b = b, a
+        if not _precedes(b, c):
+            b, c = c, b
+            if not _precedes(a, b):
+                a, b = b, a
     return (a, b, c)
 
 

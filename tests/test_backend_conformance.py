@@ -8,8 +8,9 @@ The matrix axes:
   ``Engine.register_backend``, proving third-party entrants ride the same
   contract (new registry entries join the matrix automatically);
 * **graphs** — the paper's Figure 2/3 examples, cliques, degenerate
-  shapes, seeded random graphs, the final state of every committed fuzz
-  corpus bundle, and hypothesis-generated graphs.
+  shapes, seeded random graphs, a graph mixing int, str and float
+  labels, the final state of every committed fuzz corpus bundle, and
+  hypothesis-generated graphs.
 
 Asserted per cell: the kappa map equals the reference backend's exactly;
 processing order is bit-identical within each executor family (``csr`` ==
@@ -73,6 +74,15 @@ def fixed_graphs() -> dict:
         "path": Graph(edges=[(i, i + 1) for i in range(10)]),
         "er_small": erdos_renyi(25, 0.25, seed=0),
         "er_medium": erdos_renyi(60, 0.12, seed=1),
+        # int, str and float labels in one graph: ints order natively
+        # (61 < 127) while every int/str pair falls back to the
+        # (type name, repr) order, under which "127" sorts before "61".
+        "mixed_labels": Graph(
+            edges=[
+                (127, 61), (61, "6"), (127, "6"), (127, "x"), (61, "x"),
+                ("6", "x"), (2.5, 61), (2.5, 127), (2.5, "6"),
+            ]
+        ),
     }
 
 

@@ -1,5 +1,7 @@
 """Unit tests for canonical edge/triangle keys."""
 
+import itertools
+
 import pytest
 
 from repro.graph.edge import (
@@ -48,6 +50,60 @@ class TestCanonicalTriangle:
         a = canonical_triangle(1, "b", 2.5)
         b = canonical_triangle("b", 2.5, 1)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [(127, 61, "6"), (1, "b", 2.5), (30.0, 4, "x"), (-3, "a", 10), (True, 7, "z")],
+    )
+    def test_mixed_types_pairs_are_canonical_edges(self, vertices):
+        # Regression: the (type name, repr) fallback sorted 127 before 61,
+        # so the triangle's pairs were not the dict keys canonical_edge
+        # hands out and every consumer indexing with them raised KeyError.
+        for perm in itertools.permutations(vertices):
+            a, b, c = canonical_triangle(*perm)
+            assert canonical_triangle(*perm) == canonical_triangle(*vertices)
+            for u, v in ((a, b), (a, c), (b, c)):
+                assert (u, v) == canonical_edge(u, v)
+            assert triangle_edges((a, b, c)) == ((a, b), (a, c), (b, c))
+
+
+class TestMixedLabelGraphs:
+    """int and str labels in one graph through the label-keyed stacks."""
+
+    GRAPH_EDGES = [(127, 61), (61, "6"), (127, "6")]
+    EXPECTED = {(61, 127): 1, (61, "6"): 1, (127, "6"): 1}
+
+    def test_reference_decomposition(self):
+        from repro.engine import Engine
+        from repro.graph import Graph
+
+        graph = Graph(edges=self.GRAPH_EDGES)
+        result = Engine().decompose(graph, backend="reference")
+        assert result.kappa == self.EXPECTED
+
+    def test_triangle_supports(self):
+        from repro.graph import Graph
+        from repro.graph.triangles import triangle_supports
+
+        graph = Graph(edges=self.GRAPH_EDGES)
+        assert triangle_supports(graph) == self.EXPECTED
+
+    def test_dynamic_maintainer(self):
+        from repro.core.dynamic import DynamicTriangleKCore
+        from repro.graph import Graph
+
+        graph = Graph(edges=self.GRAPH_EDGES)
+        maintainer = DynamicTriangleKCore(graph)
+        assert dict(maintainer.kappa) == self.EXPECTED
+        maintainer.remove_edge(61, "6")
+        assert dict(maintainer.kappa) == {(61, 127): 0, (127, "6"): 0}
+
+    def test_stored_triangle_peel(self):
+        from repro.core.peel_variants import triangle_kcore_stored_triangles
+        from repro.graph import Graph
+
+        graph = Graph(edges=self.GRAPH_EDGES)
+        assert triangle_kcore_stored_triangles(graph).kappa == self.EXPECTED
 
 
 class TestTriangleEdges:

@@ -22,6 +22,7 @@ from repro.engine import (
 from repro.engine.stats import STATS_SCHEMA, EngineStats
 from repro.exceptions import ReproError
 from repro.graph import Graph
+from repro.graph.generators import erdos_renyi
 from repro.graph.undirected import complete_graph
 
 
@@ -353,6 +354,23 @@ class TestStats:
             assert counters["support_sum"] == 6
             # support_sum - sum(kappa): kappa is 1 on the 5 triangle edges.
             assert counters["bucket_decrements"] == 1
+
+    @pytest.mark.parametrize("backend", ["csr", "csr-vec"])
+    def test_csr_family_sub_stages(self, backend):
+        engine = Engine(max_cached_graphs=0)
+        graph = erdos_renyi(80, 0.15, seed=3)
+        for _ in range(3):
+            engine.decompose(graph, backend=backend)
+        stages = engine.stats_dict()["stage_seconds"]
+        parent = stages[f"decompose.{backend}"]
+        parts = [
+            stages[f"decompose.{backend}.{layer}"]
+            for layer in ("build", "enumerate", "peel")
+        ]
+        assert all(part > 0 for part in parts)
+        assert sum(parts) <= parent + 1e-9
+        # Decoding to labelled edges is paid on first access, not here.
+        assert not any(name.endswith(".decode") for name in stages)
 
     def test_reset(self, kite):
         engine = Engine()

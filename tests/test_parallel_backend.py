@@ -17,7 +17,9 @@ import pytest
 from repro.engine import Engine, EngineStats, STATS_SCHEMA
 from repro.exceptions import BackendError, ReproError
 from repro.fast import (
-    AUTO_PARALLEL_MIN_EDGES,
+    AUTO_EXTERNAL_MIN_EDGES,
+    AUTO_MIN_EDGES,
+    AUTO_VECTOR_MIN_EDGES,
     CSRGraph,
     csr_decomposition,
     effective_workers,
@@ -361,36 +363,61 @@ class TestInjectShardMergeBug:
 
 
 class TestAutoPolicy:
-    # Above the parallel threshold "auto" composes the vector executor on
-    # top of the sharded enumeration when numpy is present; the scalar
-    # composition remains the no-numpy answer.
-    def test_auto_escalates_on_big_graph_with_workers(self):
-        big = SimpleNamespace(num_edges=AUTO_PARALLEL_MIN_EDGES)
-        expected = "parallel-vec" if HAS_NUMPY else "parallel"
-        assert resolve_backend("auto", big, workers=2) == expected
+    # "auto" stays in process: the parallel family's pool spawn costs more
+    # than its sharded enumeration saves, so only an explicit backend name
+    # reaches it, and the worker count never steers the choice.
+    IN_PROCESS = ("reference", "csr", "csr-vec")
+    EDGE_COUNTS = (
+        0,
+        AUTO_MIN_EDGES,
+        AUTO_VECTOR_MIN_EDGES,
+        1 << 16,
+        1 << 20,
+        AUTO_EXTERNAL_MIN_EDGES - 1,
+    )
+    WORKERS = (None, 1, 2, 4, 64)
+
+    def test_auto_never_resolves_to_parallel_family(self):
+        for edges in self.EDGE_COUNTS:
+            graph = SimpleNamespace(num_edges=edges)
+            assert resolve_backend("auto", graph) in self.IN_PROCESS
+            for workers in self.WORKERS:
+                resolved = Engine(workers=workers).resolve(None, graph)
+                assert resolved in self.IN_PROCESS, (edges, workers)
 
     def test_auto_stays_in_process_below_threshold(self):
-        mid = SimpleNamespace(num_edges=AUTO_PARALLEL_MIN_EDGES - 1)
-        expected = "csr-vec" if HAS_NUMPY else "csr"
-        assert resolve_backend("auto", mid, workers=2) == expected
+        mid = SimpleNamespace(num_edges=AUTO_VECTOR_MIN_EDGES - 1)
+        assert resolve_backend("auto", mid) == "csr"
 
     def test_auto_stays_in_process_at_one_worker(self):
-        big = SimpleNamespace(num_edges=AUTO_PARALLEL_MIN_EDGES * 2)
+        big = SimpleNamespace(num_edges=1 << 20)
         expected = "csr-vec" if HAS_NUMPY else "csr"
-        assert resolve_backend("auto", big, workers=1) == expected
+        assert Engine(workers=1).resolve(None, big) == expected
 
     def test_auto_scalar_composition_without_numpy(self, monkeypatch):
         monkeypatch.setattr(csr_mod, "np", None)
-        big = SimpleNamespace(num_edges=AUTO_PARALLEL_MIN_EDGES)
-        assert resolve_backend("auto", big, workers=2) == "parallel"
-        assert resolve_backend("auto", big, workers=1) == "csr"
+        big = SimpleNamespace(num_edges=1 << 20)
+        assert resolve_backend("auto", big) == "csr"
+        assert Engine(workers=4).resolve(None, big) == "csr"
 
-    def test_engine_resolve_uses_engine_workers(self):
-        big = SimpleNamespace(num_edges=AUTO_PARALLEL_MIN_EDGES)
-        parallel_family = ("parallel", "parallel-vec")
-        csr_family = ("csr", "csr-vec")
-        assert Engine(workers=4).resolve(None, big) in parallel_family
-        assert Engine(workers=1).resolve(None, big) in csr_family
+    def test_engine_resolve_ignores_engine_workers(self):
+        big = SimpleNamespace(num_edges=1 << 20)
+        answers = {Engine(workers=w).resolve(None, big) for w in self.WORKERS}
+        assert answers == {"csr-vec" if HAS_NUMPY else "csr"}
+
+    @pytest.mark.parametrize(
+        ("backend", "executor"),
+        [("parallel", "scalar"), ("parallel-vec", "vector")],
+    )
+    def test_explicit_parallel_bit_identical_to_csr(self, backend, executor):
+        graph = er(seed=11)
+        assert resolve_backend(backend, graph) == backend
+        expected = csr_decomposition(graph, executor=executor)
+        engine = Engine(workers=2, max_cached_graphs=0)
+        result = engine.decompose(graph, backend=backend)
+        assert engine.stats_dict()["backend_calls"] == {backend: 1}
+        assert result.kappa == expected.kappa
+        assert result.processing_order == expected.processing_order
 
     def test_membership_error_contract(self):
         graph = complete_graph(4)
