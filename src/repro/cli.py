@@ -78,7 +78,6 @@ def _make_engine(args: argparse.Namespace):
 
     return Engine(
         default_backend=getattr(args, "backend", None) or "auto",
-        workers=getattr(args, "workers", None),
         spill_dir=getattr(args, "spill_dir", None),
         memory_budget=getattr(args, "memory_budget", None),
     )
@@ -98,17 +97,9 @@ def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
         choices=BACKENDS,
         default=None,
         help="decomposition implementation: dict-based reference, "
-        "flat-array CSR kernels, process-parallel sharded enumeration, "
+        "flat-array CSR kernels (csr, csr-vec with the vectorized peel), "
         "out-of-core spill (external), incremental dynamic maintenance, "
         "or auto (size-based, default)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel backend (default: one per "
-        "CPU; 1 disables pool spawning)",
     )
     p.add_argument(
         "--spill-dir",
@@ -550,22 +541,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "self-test: injecting batch boundary-drop bug "
             "(_trim_batch_region skips one affected-region edge)"
         )
-    if args.backend in ("parallel", "parallel-vec"):
-        from .testing import DEFAULT_ORACLES
-
-        workers = args.workers or 2
-        executor = "vector" if args.backend == "parallel-vec" else "scalar"
-        extra_kwargs["oracles"] = DEFAULT_ORACLES + ("parallel",)
-        extra_kwargs["oracle_options"] = {
-            "parallel_workers": workers,
-            "parallel_inprocess": False,
-            "parallel_executor": executor,
-        }
-        print(
-            f"extra oracle: {args.backend} backend with {workers} worker "
-            f"process(es) per checkpoint"
-        )
-    elif args.backend == "csr-vec":
+    if args.backend == "csr-vec":
         from .testing import DEFAULT_ORACLES
 
         extra_kwargs["oracles"] = DEFAULT_ORACLES + ("csr-vec",)
@@ -1088,19 +1064,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("parallel", "parallel-vec", "csr-vec", "external"),
+        choices=("csr-vec", "external"),
         default=None,
         help="cross-check this backend as an extra checkpoint oracle "
-        "(parallel/parallel-vec: real worker pools with the scalar/vector "
-        "peel, see --workers; csr-vec: in-process vectorized peel; "
-        "external: out-of-core partitioned spill)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel oracle (default: 2)",
+        "(csr-vec: vectorized peel; external: out-of-core partitioned "
+        "spill)",
     )
     p.add_argument(
         "--external-bug",

@@ -189,7 +189,6 @@ def triangle_kcore_decomposition(
     *,
     store_membership: bool = False,
     backend: str = "auto",
-    workers: Optional[int] = None,
     counters: Optional[Dict[str, int]] = None,
 ) -> TriangleKCoreResult:
     """Run Algorithm 1 on ``graph``.
@@ -208,14 +207,10 @@ def triangle_kcore_decomposition(
         ``"reference"`` runs the dict-based implementation below;
         ``"csr"`` snapshots the graph into flat integer arrays and runs the
         :mod:`repro.fast` kernels (identical kappa maps, much faster on
-        large graphs); ``"parallel"`` additionally fans the triangle
-        enumeration out over a process pool (bit-identical to ``"csr"``);
-        ``"auto"`` (default) picks an in-process backend per the policy
-        documented in :mod:`repro.fast`.
-    workers:
-        Worker-process count for an explicitly named ``"parallel"``
-        backend; ``None`` means one per CPU.  Ignored by every other
-        backend, ``"auto"`` included.
+        large graphs); ``"csr-vec"`` adds the vectorized peel executor;
+        ``"external"`` spills the snapshot to disk and decomposes it out of
+        core; ``"auto"`` (default) picks one per the policy documented in
+        :mod:`repro.fast`.
     counters:
         Optional dict that, when provided, receives work counters at no
         measurable cost (they are derived from state the peel computes
@@ -245,7 +240,7 @@ def triangle_kcore_decomposition(
     from ..fast import (
         backend_executor,
         csr_decomposition,
-        parallel_decomposition,
+        external_decomposition,
         resolve_backend,
     )
 
@@ -254,13 +249,8 @@ def triangle_kcore_decomposition(
         return csr_decomposition(
             graph, counters=counters, executor=backend_executor(resolved)
         )
-    if resolved in ("parallel", "parallel-vec"):
-        return parallel_decomposition(
-            graph,
-            workers=workers,
-            counters=counters,
-            executor=backend_executor(resolved),
-        )
+    if resolved == "external":
+        return external_decomposition(graph, counters=counters)
 
     # Steps 1-5: initial upper bounds = triangle supports.  A single pass
     # over the canonical triangle enumeration both counts supports and, when

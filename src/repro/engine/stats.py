@@ -11,17 +11,13 @@ saved a recompute.
 The structured schema (``as_dict``)::
 
     {
-      "schema": "repro.engine.stats/6",
+      "schema": "repro.engine.stats/7",
       "counters":      {"decompositions": ..., "cache_hits": ...,
                         "triangles_enumerated": ..., "edges_peeled": ...,
                         "bucket_decrements": ..., "dynamic_updates": ...},
       "backend_calls": {"reference": ..., "csr": ..., "csr-vec": ...,
-                        "parallel": ..., "parallel-vec": ...,
                         "external": ..., "dynamic": ...},
       "stage_seconds": {"decompose.reference": ..., "dynamic.diff": ...},
-      "parallel":      {"decompositions": ..., "workers": ...,
-                        "shards": ..., "shard_seconds": [...],
-                        "transport": ..., "bytes_shipped": ...},
       "peel":          {"executor": ..., "runs": ..., "levels": ...,
                         "batched_decrements": ..., "bound_skips": ...},
       "external":      {"decompositions": ..., "partitions": ...,
@@ -38,17 +34,17 @@ Schema history: ``/1`` lacked the ``"parallel"`` section, ``/2`` lacked
 the ``"batch"`` section, ``/3`` lacked the ``"peel"`` section and the
 ``"transport"``/``"bytes_shipped"`` keys of ``"parallel"``, ``/4``
 lacked the ``"external"`` section, ``/5`` lacked the ``"workspace"``
-section; every key of each older schema is present unchanged in the
-next, so readers of the old schemas keep working (the compatibility
-test pins this).
+section; every key of each of those schemas is present unchanged in
+the next.  ``/7`` equals ``/6`` minus the ``"parallel"`` section, removed
+together with the process-parallel backends it described; every other
+``/6`` key is unchanged (the compatibility test pins this).
 
 Stage names nest with dots.  ``decompose.csr`` and ``decompose.csr-vec``
 contain one sub-stage per kernel layer — ``.build`` (Graph → CSR),
 ``.enumerate`` (triangle listing) and ``.peel`` (Algorithm 1) — whose
-sum never exceeds the parent; these are additive keys within ``/6``.
-Decoding the result to labelled edges is not a stage: kernel results
-decode lazily, on the first ``.kappa``/``.processing_order`` access,
-outside the engine.
+sum never exceeds the parent.  Decoding the result to labelled edges is
+not a stage: kernel results decode lazily, on the first
+``.kappa``/``.processing_order`` access, outside the engine.
 
 Counter values are exact, not sampled: the static counters are derived
 from state Algorithm 1 computes anyway (see the ``counters`` hook on
@@ -61,27 +57,22 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator
 
 #: Version tag for the structured stats payload; bump on schema changes.
-STATS_SCHEMA = "repro.engine.stats/6"
+STATS_SCHEMA = "repro.engine.stats/7"
 
 
 class EngineStats:
     """Mutable instrumentation accumulator for one engine."""
 
-    __slots__ = ("counters", "backend_calls", "stage_seconds", "parallel",
-                 "peel", "external", "batch", "workspace")
+    __slots__ = ("counters", "backend_calls", "stage_seconds", "peel",
+                 "external", "batch", "workspace")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.backend_calls: Dict[str, int] = {}
         self.stage_seconds: Dict[str, float] = {}
-        #: Aggregate view of every "parallel"-backend decomposition: worker
-        #: count of the most recent run, cumulative shard count, and the
-        #: per-shard wall times of the most recent run (the engine's
-        #: coarse analogue of ParallelInfo — see repro.fast.parallel).
-        self.parallel: Dict[str, object] = {}
         #: Aggregate view of every kernel-backend peel: executor name of
         #: the most recent run, cumulative run count, and cumulative
         #: levels / batched decrements / bound skips (see PeelStats in
@@ -131,34 +122,6 @@ class EngineStats:
         """Fold a decomposition's ``counters`` hook output into the totals."""
         for name, value in counters.items():
             self.bump(name, value)
-
-    def record_parallel(
-        self,
-        workers: int,
-        shard_seconds: Sequence[float],
-        transport: str = "inprocess",
-        bytes_shipped: int = 0,
-    ) -> None:
-        """Record one ``"parallel"``-family decomposition.
-
-        ``workers``/``shard_seconds``/``transport``/``bytes_shipped``
-        describe the most recent run (they overwrite);
-        ``decompositions``/``shards`` accumulate.  ``bytes_shipped`` is
-        what actually crossed the process boundary per worker — the tiny
-        shared-memory attach descriptor under the ``shm`` transport, the
-        whole array payload under ``pickle``, 0 in process.
-        """
-        shard_list: List[float] = [round(s, 6) for s in shard_seconds]
-        self.parallel["decompositions"] = (
-            int(self.parallel.get("decompositions", 0)) + 1
-        )
-        self.parallel["workers"] = int(workers)
-        self.parallel["shards"] = (
-            int(self.parallel.get("shards", 0)) + len(shard_list)
-        )
-        self.parallel["shard_seconds"] = shard_list
-        self.parallel["transport"] = str(transport)
-        self.parallel["bytes_shipped"] = int(bytes_shipped)
 
     def record_peel(self, peel_stats: Dict[str, object]) -> None:
         """Fold one peel executor run (PeelStats) into the ``peel`` section.
@@ -269,7 +232,6 @@ class EngineStats:
                 stage: round(seconds, 6)
                 for stage, seconds in sorted(self.stage_seconds.items())
             },
-            "parallel": dict(self.parallel),
             "peel": dict(self.peel),
             "external": dict(sorted(self.external.items())),
             "batch": dict(sorted(self.batch.items())),
@@ -281,7 +243,6 @@ class EngineStats:
         self.counters.clear()
         self.backend_calls.clear()
         self.stage_seconds.clear()
-        self.parallel.clear()
         self.peel.clear()
         self.external.clear()
         self.batch.clear()

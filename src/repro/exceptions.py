@@ -56,11 +56,10 @@ class SelfLoopError(GraphError, ValueError):
 class BackendError(ReproError):
     """A decomposition backend failed mechanically (not algorithmically).
 
-    Raised by the ``parallel`` backend when a worker process dies or the
-    pool cannot be created, and by the ``external`` backend when its spill
-    directory misbehaves (see :class:`SpillError`); the input graph is
-    always left untouched and the caller can retry with an in-process
-    backend (``csr``/``reference``) or ``workers=1``.
+    Raised by the ``external`` backend when its spill directory
+    misbehaves (see :class:`SpillError`); the input graph is always left
+    untouched and the caller can retry with an in-RAM backend
+    (``csr``/``reference``).
     """
 
 

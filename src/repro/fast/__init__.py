@@ -4,19 +4,18 @@ The reference implementations in :mod:`repro.core` and
 :mod:`repro.graph.triangles` run on hash-keyed dicts of canonical edge
 tuples: ideal for dynamic updates and as a cross-validation oracle, but an
 order of magnitude slower than necessary for one-shot static work.  This
-package provides the fast paths behind ``backend="csr"``, ``"csr-vec"``,
-``"parallel"`` and ``"parallel-vec"``, organized as four explicit layers
-(DESIGN.md "Kernel layering" has the full composition table):
+package provides the fast paths behind ``backend="csr"``, ``"csr-vec"``
+and ``"external"``, organized as four explicit layers (DESIGN.md "Kernel
+layering" has the full composition table):
 
 * **L1 — substrate**: :class:`~repro.fast.csr.CSRGraph`, an immutable
   integer-relabeled CSR snapshot whose five kernel arrays form a
-  pluggable store — stdlib ``array``, or zero-copy ``memoryview`` slices
-  over a ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.fast.shm.SharedCSR`);
+  pluggable store — stdlib ``array``, numpy ndarrays, or zero-copy
+  ``memoryview`` columns (the ``external`` backend's mmap'd spill files);
 * **L2 — enumeration**: :mod:`~repro.fast.kernels` — forward-algorithm
-  triangle counting/supports over any substrate, shardable by vertex
-  range (:mod:`~repro.fast.parallel` fans shards over a process pool,
-  shipping only the shared-memory attach descriptor to each worker);
+  triangle counting/supports over any substrate, restrictable to a
+  vertex range (the ``external`` backend enumerates partition by
+  partition);
 * **L3 — peel executor**: :mod:`~repro.fast.peelers` — Algorithm 1
   behind the :class:`~repro.fast.peelers.PeelExecutor` seam: the scalar
   bucket-queue walk or the vectorized level-synchronous executor;
@@ -42,15 +41,6 @@ Backends
     (ascending level, sub-round, edge id).  The single-core win on large
     graphs when numpy is present (``make bench-peel``); without numpy a
     bit-identical pure path keeps it available everywhere.
-``"parallel"``
-    ``"csr"`` with the triangle enumeration fanned out over a
-    ``multiprocessing`` pool, the CSR handed to workers zero-copy via
-    shared memory (:mod:`repro.fast.parallel`).  Bit-identical to
-    ``"csr"`` — same kappa map *and* processing order — for any worker
-    count.
-``"parallel-vec"``
-    Sharded enumeration + vector peel: the full composition.
-    Bit-identical to ``"csr-vec"`` for any worker count.
 ``"external"``
     Out-of-core: the CSR columns live in mmap'd spill files under a
     spill directory, triangles are enumerated partition by partition to
@@ -63,14 +53,10 @@ Backends
     By measured tiering, always in process: ``"external"`` when a
     ``memory_budget`` is configured and the estimated CSR payload exceeds
     it (or the graph has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges);
-    else ``"csr-vec"`` at or above :data:`AUTO_VECTOR_MIN_EDGES` edges when
-    numpy is present; else ``"csr"`` at or above :data:`AUTO_MIN_EDGES`
-    (snapshot construction overhead dominates below that); else
-    ``"reference"`` — and always ``"reference"`` whenever membership
-    bookkeeping is requested.  ``"auto"`` never picks the process-parallel
-    backends: their pool spawn costs more than the sharded enumeration
-    saves (only named explicitly do they run), so ``workers`` does not
-    steer it.
+    else, at or above :data:`AUTO_MIN_EDGES` edges (snapshot construction
+    overhead dominates below that), ``"csr-vec"`` when numpy is present
+    and ``"csr"`` without it; else ``"reference"`` — and always
+    ``"reference"`` whenever membership bookkeeping is requested.
 
 Results
 -------
@@ -92,6 +78,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..exceptions import BackendError
 from ..graph.edge import Edge
 from ..graph.undirected import Graph
 from .csr import CSRGraph, EdgeIdArrays, IntSeq, int_sum
@@ -111,21 +98,15 @@ from .kernels import (
     triangle_count,
     triangle_supports,
 )
-from .parallel import (
-    BackendError,
-    effective_workers,
-    inject_shard_merge_bug,
-    parallel_count_triangles,
-    parallel_decomposition,
-    parallel_supports_and_triangles,
-    shard_ranges,
-)
 from .peelers import PEEL_EXECUTORS, peel_arrays, run_peel
+
+# perfbench/workload_static.py imports this name on every traced run; it is
+# the only reason the alias exists.
+parallel_supports_and_triangles = supports_and_triangles
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
     "AUTO_MIN_EDGES",
-    "AUTO_VECTOR_MIN_EDGES",
     "BACKENDS",
     "BackendError",
     "CSRGraph",
@@ -138,19 +119,12 @@ __all__ = [
     "csr_decomposition",
     "csr_triangle_supports",
     "decompose_spill",
-    "effective_workers",
     "estimated_payload_nbytes",
     "external_decomposition",
     "inject_boundary_drop_bug",
-    "inject_shard_merge_bug",
-    "parallel_count_triangles",
-    "parallel_decomposition",
-    "parallel_supports_and_triangles",
-    "parallel_triangle_supports",
     "peel",
     "resolve_backend",
     "run_peel",
-    "shard_ranges",
     "spill_edges",
     "supports_and_triangles",
     "triangle_count",
@@ -164,8 +138,6 @@ BACKENDS = (
     "reference",
     "csr",
     "csr-vec",
-    "parallel",
-    "parallel-vec",
     "external",
 )
 
@@ -173,12 +145,6 @@ BACKENDS = (
 #: snapshot build costs more than the dict overhead it saves (measured in
 #: benchmarks/bench_backend_kernels.py — the crossover sits near 10^3 edges).
 AUTO_MIN_EDGES = 1024
-
-#: "auto" escalates the peel from "scalar" to "vector" at this edge count
-#: when numpy is importable (measured in benchmarks/bench_peel.py: the
-#: level-synchronous executor loses below ~2·10^4 edges — too few edges
-#: per frontier to amortize the array passes — and wins 2-3x above it).
-AUTO_VECTOR_MIN_EDGES = 32768
 
 #: "auto" escalates to the out-of-core backend at this edge count even
 #: without an explicit memory budget — the point where the in-RAM
@@ -218,9 +184,8 @@ def resolve_backend(
 ) -> str:
     """Resolve ``backend`` to a concrete kernel composition.
 
-    Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"``,
-    ``"parallel"``, ``"parallel-vec"`` or ``"external"`` — the two
-    parallel compositions only when named explicitly.
+    Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"`` or
+    ``"external"``.
     ``needs_reference`` marks calls the kernels cannot serve (currently:
     membership bookkeeping); ``"auto"`` then degrades silently while an
     explicit kernel backend raises, so callers never get an answer
@@ -254,9 +219,9 @@ def resolve_backend(
         and estimated_payload_nbytes(graph) > memory_budget
     ):
         return "external"
-    if _csr_mod.np is not None and graph.num_edges >= AUTO_VECTOR_MIN_EDGES:
-        return "csr-vec"
-    return "csr" if graph.num_edges >= AUTO_MIN_EDGES else "reference"
+    if graph.num_edges < AUTO_MIN_EDGES:
+        return "reference"
+    return "csr" if _csr_mod.np is None else "csr-vec"
 
 
 def estimated_payload_nbytes(graph: Graph) -> int:
@@ -278,15 +243,6 @@ def csr_triangle_supports(graph: Graph) -> Dict[Edge, int]:
     """``{canonical edge: triangle support}`` via the CSR kernel."""
     csr = CSRGraph.from_graph(graph)
     return dict(zip(csr.edge_labels(), triangle_supports(csr)))
-
-
-def parallel_triangle_supports(
-    graph: Graph, *, workers: Optional[int] = None
-) -> Dict[Edge, int]:
-    """``{canonical edge: triangle support}`` via the sharded enumeration."""
-    csr = CSRGraph.from_graph(graph)
-    supports, _ = parallel_supports_and_triangles(csr, workers=workers)
-    return dict(zip(csr.edge_labels(), supports))
 
 
 def peel_to_result(

@@ -28,13 +28,13 @@ bit-identical arrays — the test suite asserts it.
 **Array store contract (kernel layer L1).**  The five kernel arrays
 (:data:`CSRGraph.ARRAY_FIELDS`) are a *pluggable store*: any
 buffer-protocol sequence of native int64 values works — stdlib
-``array("q")`` (the default), ``bytes`` snapshots, or ``memoryview``
-slices cast to ``"q"`` over a ``multiprocessing.shared_memory`` segment
-(see :mod:`repro.fast.shm`).  The kernels only ever index, slice, bisect,
+``array("q")`` (the default), numpy int64 arrays, or ``memoryview``
+slices cast to ``"q"``.  The kernels only ever index, slice, bisect,
 ``tolist()`` or ``np.frombuffer`` these fields, all of which every store
 supports, so :meth:`CSRGraph.from_arrays` can rehydrate a snapshot from
-any of them — including zero-copy views into shared memory, which is how
-``parallel`` workers attach to the parent's CSR without unpickling it.
+any of them — including zero-copy views over mmap'd files, which is how
+the ``external`` backend (:mod:`repro.fast.external`) reads its spilled
+columns without loading them.
 """
 
 from __future__ import annotations
@@ -294,12 +294,11 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Rehydrate a snapshot from a store mapping (zero-copy capable).
 
-        ``arrays`` maps each :data:`ARRAY_FIELDS` name to an int64 store:
-        ``bytes`` are copied into stdlib arrays, while ``array``/
-        ``memoryview`` stores are adopted as-is — a ``memoryview`` over a
-        shared-memory segment makes the snapshot a zero-copy view whose
-        lifetime is the segment's (see :mod:`repro.fast.shm`).  ``labels``
-        is optional: kernels never touch original labels, so transports
+        ``arrays`` maps each :data:`ARRAY_FIELDS` name to an int64 store
+        (``array``, ndarray or ``memoryview``), adopted as-is — a
+        ``memoryview`` over an mmap'd file makes the snapshot a zero-copy view whose lifetime is
+        the mapping's (see :mod:`repro.fast.external`).  ``labels`` is
+        optional: kernels never touch original labels, so spill readers
         omit them; label-decoding methods then require id-space use only.
         """
         snap = cls()
@@ -309,22 +308,11 @@ class CSRGraph:
             snap.labels = labels
             snap.index = {label: i for i, label in enumerate(labels)}
         for field in cls.ARRAY_FIELDS:
-            store = arrays[field]
-            if isinstance(store, (bytes, bytearray)):
-                store = array("q", store)
-            setattr(snap, field, store)
+            setattr(snap, field, arrays[field])
         return snap
 
-    # ------------------------------------------------------------------ #
-    # array store introspection (kernel layer L1)
-    # ------------------------------------------------------------------ #
-
-    def arrays(self) -> Dict[str, object]:
-        """The kernel-array store, keyed by :data:`ARRAY_FIELDS` name."""
-        return {field: getattr(self, field) for field in self.ARRAY_FIELDS}
-
     def payload_nbytes(self) -> int:
-        """Total bytes of the kernel arrays — what a copying transport ships."""
+        """Total bytes of the kernel arrays (sizes the ``external`` partitions)."""
         total = 0
         for field in self.ARRAY_FIELDS:
             store = getattr(self, field)

@@ -1,28 +1,26 @@
 """Out-of-core partitioned CSR: the ``external`` backend (kernel layer L1-L3).
 
-Every other backend — including the shared-memory ``parallel`` family —
-materializes the full adjacency *and* the full triangle list in RAM, which
-caps the reproduction far below the "graphs that don't fit in memory"
+Every other backend materializes the full adjacency *and* the full
+triangle list in RAM, which caps the reproduction far below the "graphs that don't fit in memory"
 regime.  This module keeps both on disk:
 
 * **Spill format** (:data:`SPILL_FORMAT`): one binary int64 file per
   kernel column (:data:`~repro.fast.csr.CSRGraph.ARRAY_FIELDS`) under a
   spill directory, described by a ``manifest.json`` carrying the format
   version, per-column byte counts and CRC32s, and the partition table — a
-  list of vertex ranges ``[lo, hi)`` cut on the arc-count prefix (the
-  :func:`~repro.fast.parallel.shard_ranges` policy) with a CRC32 over each
+  list of vertex ranges ``[lo, hi)`` cut on the arc-count prefix
+  (:func:`_partition_ranges`) with a CRC32 over each
   partition's slice of the ``indices`` column.  The manifest is written
   last via tmp+rename, so a crashed build can never leave a directory that
   passes :meth:`ExternalCSR.open` validation.
 * **mmap'd store seam**: :meth:`ExternalCSR.open` maps each column and
   rehydrates a :class:`~repro.fast.csr.CSRGraph` through
   :meth:`~repro.fast.csr.CSRGraph.from_arrays` with ``memoryview`` stores
-  over the maps — the same L1 pluggable-store contract the shared-memory
-  transport uses, so the enumeration kernels run unchanged on disk-backed
-  columns.
+  over the maps — the L1 pluggable-store contract, so the enumeration
+  kernels run unchanged on disk-backed columns.
 * **Partitioned enumeration**: each partition ``[lo, hi)`` is enumerated
   with the unchanged :func:`~repro.fast.kernels.supports_and_triangles`
-  sharding contract (every triangle is discovered exactly once, from its
+  range contract (every triangle is discovered exactly once, from its
   lowest-ranked vertex), in arc-bounded chunks so numpy temporaries stay
   small; each partition's triangles are spilled to a scratch file instead
   of accumulating as an in-RAM list.  Only the O(n + m) support/bound
@@ -55,7 +53,7 @@ regime.  This module keeps both on disk:
   canonical ``csr-vec`` order (ascending level, sub-round, edge id) on
   every graph.  The conformance matrix asserts both.
 
-Lifetime rules (mirroring :mod:`repro.fast.shm`): triangle spill files
+Lifetime rules: triangle spill files
 live in a ``scratch-<pid>-<token>`` subdirectory removed in a ``finally``
 on every exit path, and :func:`cleanup_stale` — run on every build and
 open — removes scratch directories whose recorded pid is dead, so a
@@ -105,7 +103,7 @@ MANIFEST_NAME = "manifest.json"
 
 #: Partition count when neither ``partitions`` nor ``memory_budget`` pins
 #: one — small enough to keep per-partition overhead negligible, large
-#: enough that every multi-shard code path (boundary reconciliation,
+#: enough that every multi-partition code path (boundary reconciliation,
 #: partition retirement) is exercised by default.
 DEFAULT_PARTITIONS = 4
 
@@ -238,10 +236,11 @@ def _partition_ranges(
 ) -> List[Tuple[int, int]]:
     """Vertex-range partitions cut on the arc-count prefix.
 
-    Same policy as :func:`repro.fast.parallel.shard_ranges` (balanced arc
-    scans, deduplicated degenerate cuts, exact tiling of ``[0, n)``),
-    reimplemented over a bare ``indptr`` sequence so the spill builder can
-    run before any :class:`CSRGraph` exists.
+    Cuts balance arc scans rather than vertex counts (the CSR relabels
+    vertices in ascending degree order, so equal vertex ranges would put
+    every hub in the last partition), drop degenerate duplicate cuts, and
+    tile ``[0, n)`` exactly.  Works over a bare ``indptr`` sequence so the
+    spill builder can run before any :class:`CSRGraph` exists.
     """
     n = num_vertices
     if n == 0 or parts <= 1:

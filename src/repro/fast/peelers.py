@@ -10,8 +10,7 @@ layers.  Two executors ship:
     ``kernels.peel``): pop a minimum-bound edge, freeze its bound as
     :math:`\\kappa`, decrement the partners of its unprocessed triangles
     one at a time via O(1) bucket swaps.  Pure stdlib, always available,
-    and the bit-for-bit behavioral baseline — ``backend="csr"`` and
-    ``backend="parallel"`` run it, so their outputs are unchanged.
+    and the bit-for-bit behavioral baseline — ``backend="csr"`` runs it.
 ``"vector"``
     A level-synchronous executor following the batch processing in
     *Streaming and Batch Algorithms for Truss Decomposition* (PAPERS.md):
@@ -44,7 +43,7 @@ Stats.  When a ``stats`` dict is passed, the executor records
 ``batched_decrements`` (support decrements applied in array passes; 0 for
 scalar, which decrements via bucket swaps counted separately) and
 ``bound_skips`` (partner slots proven stable and skipped; 0 for scalar).
-These feed the ``peel`` section of ``repro.engine.stats/6``.
+These feed the ``peel`` section of ``repro.engine.stats/7``.
 """
 
 from __future__ import annotations

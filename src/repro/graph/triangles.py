@@ -74,24 +74,17 @@ def count_triangles(graph: Graph, *, backend: str = "auto") -> int:
 
     ``backend`` selects the implementation: ``"reference"`` iterates
     :func:`enumerate_triangles`, ``"csr"`` runs the flat-array kernel of
-    :mod:`repro.fast`, ``"parallel"`` shards that kernel over a process
-    pool, ``"auto"`` (default) picks by graph size.
+    :mod:`repro.fast`, ``"auto"`` (default) picks by graph size.
 
     >>> from .undirected import complete_graph
     >>> count_triangles(complete_graph(6))
     20
     """
-    from ..fast import (
-        csr_count_triangles,
-        parallel_count_triangles,
-        resolve_backend,
-    )
+    from ..fast import csr_count_triangles, resolve_backend
 
     # Counting never peels, so the -vec compositions (which differ only in
     # peel executor) collapse to their base enumeration family here.
     resolved = resolve_backend(backend, graph)
-    if resolved in ("parallel", "parallel-vec"):
-        return parallel_count_triangles(graph)
     if resolved in ("csr", "csr-vec"):
         return csr_count_triangles(graph)
     return sum(1 for _ in enumerate_triangles(graph))
@@ -109,16 +102,10 @@ def triangle_supports(graph: Graph, *, backend: str = "auto") -> Dict[Edge, int]
     ``backend`` works as in :func:`count_triangles`; both paths return
     identical mappings.
     """
-    from ..fast import (
-        csr_triangle_supports,
-        parallel_triangle_supports,
-        resolve_backend,
-    )
+    from ..fast import csr_triangle_supports, resolve_backend
 
     # Supports never peel either — same -vec → base-family collapse.
     resolved = resolve_backend(backend, graph)
-    if resolved in ("parallel", "parallel-vec"):
-        return parallel_triangle_supports(graph)
     if resolved in ("csr", "csr-vec"):
         return csr_triangle_supports(graph)
     supports: Dict[Edge, int] = {edge: 0 for edge in graph.edges()}

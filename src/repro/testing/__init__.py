@@ -12,8 +12,8 @@ into an automated adversary:
   ``adversarial``);
 * :mod:`~repro.testing.oracles` — the checkpoint oracle matrix
   (RecomputeBaseline, CSR kernels, networkx ``k_truss``, and the opt-in
-  sharded ``parallel`` backend) and fault injection for the mutation
-  smoke-check;
+  ``csr-vec``, ``external`` and ``per_op`` oracles) and fault injection
+  for the mutation smoke-check;
 * :mod:`~repro.testing.runner` — drives a script through
   :class:`~repro.core.dynamic.DynamicTriangleKCore` with per-op Rule 0 /
   error-contract invariants and per-checkpoint oracle comparison;

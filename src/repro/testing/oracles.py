@@ -20,16 +20,10 @@ kappa map against every *checkpoint oracle* registered here:
     executor — the same enumeration as ``csr`` but an entirely different
     Algorithm 1 walk, so it catches executor-specific bugs (batched
     decrement accounting, bound clamping).  Opt-in.
-``parallel``
-    The sharded enumeration backend (:mod:`repro.fast.parallel`) run on
-    the shadow graph.  Opt-in (not in :data:`DEFAULT_ORACLES` — it is
-    bit-identical to ``csr`` by construction, so it only adds signal
-    when the shard split/merge path itself is under suspicion).  By
-    default it runs *in process* (same shard/merge code, no pool spawn)
-    so fuzz loops and the shrinker stay fast; pass
-    ``parallel_inprocess=False`` to exercise real worker processes, and
-    ``parallel_executor="vector"`` to compose the vector peel on top of
-    the sharded enumeration (the full ``parallel-vec`` backend).
+``external``
+    The out-of-core backend (:mod:`repro.fast.external`) on an
+    ``external_partitions``-way spill of the shadow graph, so partition
+    seams and the reconciliation peel sit under the fuzzer.  Opt-in.
 ``per_op``
     A second :class:`DynamicTriangleKCore` fed the net edge diff *one op
     at a time* with incremental repairs.  Opt-in, aimed at the batch
@@ -61,13 +55,12 @@ ORACLE_NAMES = (
     "csr",
     "csr-vec",
     "networkx",
-    "parallel",
     "external",
     "per_op",
 )
 
 #: Default oracle selection ("networkx" degrades to a no-op if unavailable;
-#: "parallel" is opt-in — see the module docstring).
+#: the others are opt-in — see the module docstring).
 DEFAULT_ORACLES = ("recompute", "csr", "networkx")
 
 
@@ -93,9 +86,6 @@ class CheckpointOracles:
         self,
         oracles: Tuple[str, ...] = DEFAULT_ORACLES,
         *,
-        parallel_workers: int = 2,
-        parallel_inprocess: bool = True,
-        parallel_executor: str = "scalar",
         external_partitions: int = 2,
     ) -> None:
         for name in oracles:
@@ -108,9 +98,6 @@ class CheckpointOracles:
         self._baseline_edges: set = set()
         self._per_op: Optional[DynamicTriangleKCore] = None
         self._nx_usable = "networkx" in self._names and networkx_available()
-        self._parallel_workers = parallel_workers
-        self._parallel_inprocess = parallel_inprocess
-        self._parallel_executor = parallel_executor
         self._external_partitions = external_partitions
         # Private, cache-disabled engine: each oracle must recompute from
         # scratch every checkpoint — serving one oracle's cached artifact
@@ -147,15 +134,6 @@ class CheckpointOracles:
                 from ..baselines.nx_truss import networkx_kappa
 
                 answers[name] = networkx_kappa(shadow)
-            elif name == "parallel":
-                from ..fast import parallel_decomposition
-
-                answers[name] = parallel_decomposition(
-                    shadow,
-                    workers=self._parallel_workers,
-                    inprocess=self._parallel_inprocess,
-                    executor=self._parallel_executor,
-                ).kappa
             elif name == "external":
                 from ..fast.external import external_decomposition
 

@@ -3,7 +3,7 @@
 The matrix axes:
 
 * **backends** — every entry of the engine registry (``reference``,
-  ``csr``, ``csr-vec``, ``parallel``, ``parallel-vec``, ``dynamic``) plus
+  ``csr``, ``csr-vec``, ``external``, ``dynamic``) plus
   a dummy backend registered at test time through
   ``Engine.register_backend``, proving third-party entrants ride the same
   contract (new registry entries join the matrix automatically);
@@ -13,9 +13,9 @@ The matrix axes:
   hypothesis-generated graphs.
 
 Asserted per cell: the kappa map equals the reference backend's exactly;
-processing order is bit-identical within each executor family (``csr`` ==
-``parallel``; ``csr-vec`` == ``parallel-vec``, both in process and over a
-real pool with the shared-memory transport); triangle counts agree across
+processing order is bit-identical within the vector executor family
+(``csr-vec`` == ``external`` at every partition count); triangle counts
+agree across
 counting backends; membership bookkeeping is refused by every backend
 that cannot provide it (error contract), and the ``auto`` policy degrades
 instead of erroring.  Each check runs on a fresh cache-disabled engine so
@@ -33,7 +33,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.engine.engine import _BUILTIN_BACKENDS, BACKENDS
-from repro.fast import csr_decomposition, parallel_decomposition
+from repro.fast import csr_decomposition
+from repro.fast.external import external_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles
 from repro.testing import ReproBundle
@@ -91,7 +92,6 @@ GRAPH_NAMES = tuple(fixed_graphs())
 
 def fresh_engine(**kwargs) -> Engine:
     kwargs.setdefault("max_cached_graphs", 0)
-    kwargs.setdefault("workers", 2)
     return Engine(**kwargs)
 
 
@@ -125,17 +125,6 @@ class TestKappaConformance:
             f"backend {backend!r} disagrees with reference on {name!r}"
         )
 
-    @pytest.mark.parametrize("name", GRAPH_NAMES)
-    def test_parallel_bit_identical_to_csr(self, name):
-        graph = fixed_graphs()[name]
-        expected = csr_decomposition(graph)
-        for workers in (2, 3, 7):
-            result = parallel_decomposition(
-                graph, workers=workers, inprocess=True
-            )
-            assert result.kappa == expected.kappa
-            assert result.processing_order == expected.processing_order
-
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("path", CORPUS_PATHS, ids=os.path.basename)
     def test_corpus_final_states(self, backend, path):
@@ -144,20 +133,9 @@ class TestKappaConformance:
         result = fresh_engine().decompose(graph, backend=backend)
         assert result.kappa == expected.kappa
 
-    def test_real_pool_on_fig_graphs(self):
-        # One genuine multiprocess run per fixed paper graph (the rest of
-        # the matrix uses the cheap in-process shard path).
-        for name in ("fig2", "k5"):
-            graph = fixed_graphs()[name]
-            expected = csr_decomposition(graph)
-            engine = Engine(workers=2, max_cached_graphs=0)
-            result = engine.decompose(graph, backend="parallel")
-            assert result.kappa == expected.kappa
-            assert result.processing_order == expected.processing_order
-
 
 # ------------------------------------------------------------------ #
-# executor families: order identity and shared-memory transport rows
+# executor families: order identity
 # ------------------------------------------------------------------ #
 
 
@@ -166,21 +144,10 @@ class TestExecutorFamilies:
 
     Kappa must equal the reference everywhere (covered by the matrix
     above); processing order must be *bit-identical within a family* —
-    sharded enumeration composed with the same executor cannot change the
-    order — while the two families may legitimately order ties
+    partitioned enumeration composed with the same executor cannot change
+    the order — while the two families may legitimately order ties
     differently.
     """
-
-    @pytest.mark.parametrize("name", GRAPH_NAMES)
-    def test_parallel_vec_bit_identical_to_csr_vec(self, name):
-        graph = fixed_graphs()[name]
-        expected = csr_decomposition(graph, executor="vector")
-        for workers in (2, 3, 7):
-            result = parallel_decomposition(
-                graph, workers=workers, inprocess=True, executor="vector"
-            )
-            assert result.kappa == expected.kappa
-            assert result.processing_order == expected.processing_order
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_external_bit_identical_to_csr_vec(self, name):
@@ -188,8 +155,6 @@ class TestExecutorFamilies:
         # level-synchronous reconciliation peel must reproduce csr-vec's
         # canonical order bit-for-bit at every partition count, seams or
         # no seams.
-        from repro.fast.external import external_decomposition
-
         graph = fixed_graphs()[name]
         expected = csr_decomposition(graph, executor="vector")
         for partitions in (1, 2, 3, 7):
@@ -205,23 +170,6 @@ class TestExecutorFamilies:
         kappas = [result.kappa[e] for e in result.processing_order]
         assert kappas == sorted(kappas)  # non-decreasing, like Algorithm 1
 
-    def test_real_pool_shm_transport_rows(self):
-        # One genuine multiprocess run per family over the shared-memory
-        # transport (skipped on hosts without it): the zero-copy substrate
-        # must be invisible in the answers.
-        from repro.fast.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("host lacks multiprocessing.shared_memory")
-        graph = fixed_graphs()["er_medium"]
-        for executor in ("scalar", "vector"):
-            expected = csr_decomposition(graph, executor=executor)
-            result = parallel_decomposition(
-                graph, workers=2, executor=executor, transport="shm"
-            )
-            assert result.kappa == expected.kappa
-            assert result.processing_order == expected.processing_order
-
 
 # ------------------------------------------------------------------ #
 # triangle-count conformance
@@ -234,7 +182,6 @@ class TestTriangleCountConformance:
         graph = fixed_graphs()[name]
         reference = count_triangles(graph, backend="reference")
         assert count_triangles(graph, backend="csr") == reference
-        assert count_triangles(graph, backend="parallel") == reference
         engine = fresh_engine()
         assert engine.count_triangles(graph) == reference
 
@@ -312,20 +259,15 @@ def graphs(draw, max_vertices: int = 14) -> Graph:
 
 
 @settings(max_examples=50, deadline=None)
-@given(graphs(), st.integers(min_value=2, max_value=6))
-def test_every_backend_agrees_on_random_graphs(graph, workers):
+@given(graphs(), st.integers(min_value=1, max_value=6))
+def test_every_backend_agrees_on_random_graphs(graph, partitions):
     expected = triangle_kcore_decomposition(graph, backend="reference")
     csr = csr_decomposition(graph)
     assert csr.kappa == expected.kappa
-    par = parallel_decomposition(graph, workers=workers, inprocess=True)
-    assert par.kappa == expected.kappa
-    assert par.processing_order == csr.processing_order
     vec = csr_decomposition(graph, executor="vector")
     assert vec.kappa == expected.kappa
-    par_vec = parallel_decomposition(
-        graph, workers=workers, inprocess=True, executor="vector"
-    )
-    assert par_vec.kappa == expected.kappa
-    assert par_vec.processing_order == vec.processing_order
+    ext = external_decomposition(graph, partitions=partitions)
+    assert ext.kappa == expected.kappa
+    assert ext.processing_order == vec.processing_order
     dyn = Engine(max_cached_graphs=0).decompose(graph, backend="dynamic")
     assert dyn.kappa == expected.kappa

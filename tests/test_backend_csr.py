@@ -9,13 +9,16 @@ with numpy available and with the pure-``array`` fallback forced.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fast.csr as csr_module
 from repro.baselines import networkx_kappa
 from repro.core import triangle_kcore_decomposition
-from repro.fast import AUTO_MIN_EDGES, resolve_backend
+from repro.engine import Engine
+from repro.fast import AUTO_EXTERNAL_MIN_EDGES, AUTO_MIN_EDGES, resolve_backend
 from repro.graph import Graph, barabasi_albert, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles, triangle_supports
 
@@ -188,12 +191,47 @@ class TestBackendResolution:
         assert resolve_backend("auto", small) == "reference"
         big = barabasi_albert(AUTO_MIN_EDGES // 2 + 10, 2, seed=0)
         assert big.num_edges >= AUTO_MIN_EDGES
-        assert resolve_backend("auto", big) == "csr"
+        expected = "csr" if csr_module.np is None else "csr-vec"
+        assert resolve_backend("auto", big) == expected
 
     def test_explicit_backends_respected(self):
         graph = Graph(edges=[(0, 1)])
         assert resolve_backend("reference", graph) == "reference"
         assert resolve_backend("csr", graph) == "csr"
+
+
+class TestAutoPolicy:
+    """``auto`` tiers: reference, then csr-vec (csr without numpy), then
+    external — always in process below the out-of-core escalation."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [AUTO_MIN_EDGES, 1 << 12, 1 << 15, 1 << 20, AUTO_EXTERNAL_MIN_EDGES - 1],
+    )
+    def test_in_ram_tier(self, edges, numpy_mode):
+        graph = SimpleNamespace(num_edges=edges)
+        expected = "csr" if numpy_mode == "pure" else "csr-vec"
+        assert resolve_backend("auto", graph) == expected
+        assert Engine().resolve(None, graph) == expected
+
+    def test_tier_boundaries(self):
+        below = SimpleNamespace(num_edges=AUTO_MIN_EDGES - 1)
+        assert resolve_backend("auto", below) == "reference"
+        top = SimpleNamespace(num_edges=AUTO_EXTERNAL_MIN_EDGES)
+        assert resolve_backend("auto", top) == "external"
+
+    @pytest.mark.parametrize("backend", ["csr", "csr-vec", "external"])
+    def test_membership_error_contract(self, backend):
+        with pytest.raises(ValueError, match="membership"):
+            resolve_backend(backend, complete_graph(4), needs_reference=True)
+
+    @pytest.mark.parametrize("backend", ["parallel", "parallel-vec"])
+    def test_removed_parallel_backends_rejected(self, backend):
+        graph = complete_graph(4)
+        with pytest.raises(ValueError, match="unknown backend.*'csr-vec'"):
+            triangle_kcore_decomposition(graph, backend=backend)
+        with pytest.raises(ValueError, match="unknown backend.*'csr-vec'"):
+            Engine().decompose(graph, backend=backend)
 
 
 class TestCLIFlag:
@@ -205,3 +243,19 @@ class TestCLIFlag:
         out = capsys.readouterr().out
         assert f"({backend} backend)" in out
         assert "kappa histogram" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "synthetic", "--backend", "parallel"],
+            ["decompose", "synthetic", "--workers", "2"],
+            ["fuzz", "--backend", "parallel"],
+            ["fuzz", "--workers", "2"],
+        ],
+    )
+    def test_removed_parallel_options_exit_2(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

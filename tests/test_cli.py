@@ -306,7 +306,7 @@ class TestEngineFlags:
 
         lines = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(lines[-1])
-        assert payload["schema"] == "repro.engine.stats/6"
+        assert payload["schema"] == "repro.engine.stats/7"
         return payload
 
     def test_decompose_stats_json(self, edge_file, capsys):

@@ -417,86 +417,6 @@ class TestPerOpOracle:
 
 
 # ------------------------------------------------------------------ #
-# the parallel oracle
-# ------------------------------------------------------------------ #
-
-
-class TestParallelOracle:
-    """The sharded backend as an opt-in checkpoint oracle.
-
-    In-process mode keeps the shard split/merge arithmetic under the
-    fuzzer without paying a pool spawn per checkpoint; the CLI's
-    ``fuzz --backend parallel`` runs the same oracle with real pools.
-    """
-
-    PARALLEL = ("parallel_workers", "parallel_inprocess")
-
-    def test_parallel_is_optin_not_default(self):
-        assert "parallel" in ORACLE_NAMES
-        assert "parallel" not in DEFAULT_ORACLES
-
-    def test_clean_run_with_parallel_oracle(self):
-        report = run_script(
-            generate("triangle_bursts", 0, 120),
-            checkpoint_every=40,
-            oracles=DEFAULT_ORACLES + ("parallel",),
-            oracle_options={"parallel_workers": 3, "parallel_inprocess": True},
-        )
-        assert report.ok, report.divergence
-        assert "parallel" in report.oracles
-
-    def test_injected_shard_merge_bug_is_caught_and_shrunk(self):
-        from repro.fast import inject_shard_merge_bug
-
-        with inject_shard_merge_bug():
-            result = fuzz(
-                seed=0,
-                ops=200,
-                profiles=["triangle_bursts"],
-                checkpoint_every=50,
-                oracles=("parallel",),
-                oracle_options={
-                    "parallel_workers": 2,
-                    "parallel_inprocess": True,
-                },
-                shrink=True,
-            )
-            assert not result.ok, (
-                "the harness failed to notice the injected shard-merge "
-                "off-by-one in the parallel backend"
-            )
-            failure = result.first_failure
-            divergence = failure.bundle.divergence
-            assert divergence.kind == "oracle"
-            assert divergence.oracle == "parallel"
-            # Losing one triangle needs one triangle to exist: the minimal
-            # repro is exactly its three edge insertions.
-            assert len(failure.bundle.script) == 3
-        # Outside the context the same bundle replays clean.
-        assert replay(
-            failure.bundle, oracles=("parallel",)
-        ).ok
-
-    def test_divergence_names_the_culprit_oracle_only(self):
-        from repro.fast import inject_shard_merge_bug
-
-        with inject_shard_merge_bug():
-            report = run_script(
-                generate("triangle_bursts", 1, 80),
-                checkpoint_every=20,
-                oracles=DEFAULT_ORACLES + ("parallel",),
-                oracle_options={
-                    "parallel_workers": 2,
-                    "parallel_inprocess": True,
-                },
-            )
-        assert not report.ok
-        # The healthy oracles agree with the SUT; only the buggy shard
-        # merge disagrees, and the divergence must say so.
-        assert report.divergence.oracle == "parallel"
-
-
-# ------------------------------------------------------------------ #
 # opt-in heavy matrix
 # ------------------------------------------------------------------ #
 

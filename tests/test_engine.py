@@ -147,6 +147,8 @@ class TestDispatch:
             Engine(dynamic_strategy="sometimes")
         with pytest.raises(ValueError):
             Engine(default_backend="gpu")
+        with pytest.raises(TypeError):
+            Engine(workers=2)  # the process-parallel backends are gone
 
 
 # ---------------------------------------------------------------------- #

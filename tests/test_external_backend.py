@@ -1,7 +1,6 @@
 """The out-of-core ``external`` backend: bit-identity, faults, RSS caps.
 
-Four concerns, mirroring the PR 8 shard-tiling suite and the PR 5
-persistence-error matrix:
+Four concerns:
 
 * **Bit-identity** — ``external`` must produce the exact ``csr`` kappa map
   *and* the exact ``csr-vec`` canonical processing order on every graph,
@@ -38,6 +37,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import maxrss_bytes
+import repro.fast as fast_mod
+from repro.core import triangle_kcore_decomposition
 from repro.exceptions import BackendError, SpillError
 from repro.fast import csr_decomposition
 from repro.fast import csr as csr_mod
@@ -665,6 +666,26 @@ class TestEngineSurface:
         assert ext["passes"] > 0
         assert ext["bytes_mapped"] > 0
         assert ext["bound_prune_hits"] == 0
+
+    def test_core_api_dispatches_to_external(self, monkeypatch):
+        calls = []
+        real = fast_mod.external_decomposition
+
+        def spy(graph, **kwargs):
+            calls.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(fast_mod, "external_decomposition", spy)
+        graph = graph_zoo()["er_medium"]
+        want = csr_decomposition(graph, executor="vector")
+        got = triangle_kcore_decomposition(graph, backend="external")
+        assert calls == [graph]
+        assert got.kappa == want.kappa
+        assert got.processing_order == want.processing_order
+        # auto's out-of-core escalation lands in the same path.
+        monkeypatch.setattr(fast_mod, "AUTO_EXTERNAL_MIN_EDGES", 1)
+        triangle_kcore_decomposition(graph)
+        assert calls == [graph, graph]
 
     def test_membership_refused(self):
         from repro.engine import Engine

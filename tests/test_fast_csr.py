@@ -112,3 +112,18 @@ class TestKernels:
 
     def test_peel_empty_graph(self, numpy_mode):
         assert peel(CSRGraph.from_graph(Graph())) == ([], [])
+
+
+class TestArrayStore:
+    def test_kernels_identical_over_memoryview_stores(self, numpy_mode):
+        # The L1 seam the external backend's mmap'd columns go through:
+        # memoryview stores are adopted as-is, not copied.
+        csr = CSRGraph.from_graph(erdos_renyi(60, 0.15, seed=2))
+        views = {
+            field: memoryview(bytearray(bytes(getattr(csr, field)))).cast("q")
+            for field in CSRGraph.ARRAY_FIELDS
+        }
+        twin = CSRGraph.from_arrays(csr.num_vertices, csr.num_edges, views)
+        for field in CSRGraph.ARRAY_FIELDS:
+            assert getattr(twin, field) is views[field]
+        assert supports_and_triangles(twin) == supports_and_triangles(csr)

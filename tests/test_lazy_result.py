@@ -19,7 +19,6 @@ from repro.fast import (
     CSRGraph,
     csr_decomposition,
     external_decomposition,
-    parallel_decomposition,
     peel,
     supports_and_triangles,
 )
@@ -34,16 +33,6 @@ HAS_NUMPY = csr_mod.np is not None
 KERNELS = {
     "csr": ("scalar", lambda g: csr_decomposition(g)),
     "csr-vec": ("vector", lambda g: csr_decomposition(g, executor="vector")),
-    "parallel": (
-        "scalar",
-        lambda g: parallel_decomposition(g, workers=3, inprocess=True),
-    ),
-    "parallel-vec": (
-        "vector",
-        lambda g: parallel_decomposition(
-            g, workers=3, inprocess=True, executor="vector"
-        ),
-    ),
     "external": ("vector", lambda g: external_decomposition(g, partitions=2)),
 }
 
@@ -153,7 +142,7 @@ class TestLazyMatchesEager:
 
 
 def _arrays(csr: CSRGraph) -> dict:
-    return {field: bytes(store) for field, store in csr.arrays().items()}
+    return {field: bytes(getattr(csr, field)) for field in CSRGraph.ARRAY_FIELDS}
 
 
 def _dict_path(monkeypatch, graph: Graph) -> CSRGraph:

@@ -10,7 +10,7 @@ pins the contracts the conformance matrix relies on:
   identical between the numpy and pure-python code paths (including the
   telemetry counters, so a numpy-less CI leg measures the same algorithm);
 * PeelStats telemetry (levels / batched_decrements / bound_skips) wired
-  through ``peel`` and the engine's ``csr-vec``/``parallel-vec`` backends;
+  through ``peel`` and the engine's ``csr-vec`` backend;
 * input validation of the raw ``run_peel`` entry point.
 """
 
@@ -24,8 +24,6 @@ from repro.fast import (
     CSRGraph,
     PEEL_EXECUTORS,
     backend_executor,
-    csr_decomposition,
-    parallel_decomposition,
     run_peel,
     supports_and_triangles,
 )
@@ -170,9 +168,9 @@ class TestPeelStats:
         assert stats["levels"] == 0
         assert stats["batched_decrements"] == 0
 
-    @pytest.mark.parametrize("backend", ["csr-vec", "parallel-vec"])
+    @pytest.mark.parametrize("backend", ["csr-vec"])
     def test_engine_records_peel_section(self, backend):
-        engine = Engine(workers=2, max_cached_graphs=0)
+        engine = Engine(max_cached_graphs=0)
         engine.decompose(erdos_renyi(40, 0.2, seed=4), backend=backend)
         payload = engine.stats_dict()
         assert payload["backend_calls"][backend] == 1
@@ -188,26 +186,14 @@ class TestPeelStats:
 
 
 # ------------------------------------------------------------------ #
-# composition: parallel-vec == csr-vec
+# composition: backend name -> executor
 # ------------------------------------------------------------------ #
 
 
 class TestComposition:
     def test_backend_executor_mapping(self):
         assert backend_executor("csr") == "scalar"
-        assert backend_executor("parallel") == "scalar"
         assert backend_executor("csr-vec") == "vector"
-        assert backend_executor("parallel-vec") == "vector"
-
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_parallel_vec_order_identical_to_csr_vec(self, workers):
-        graph = erdos_renyi(60, 0.15, seed=5)
-        expected = csr_decomposition(graph, executor="vector")
-        result = parallel_decomposition(
-            graph, workers=workers, inprocess=True, executor="vector"
-        )
-        assert result.kappa == expected.kappa
-        assert result.processing_order == expected.processing_order
 
 
 # ------------------------------------------------------------------ #
