@@ -127,21 +127,21 @@ def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     backend = args.backend or "auto"
-    if args.membership and backend not in ("auto", "reference"):
-        print(
-            f"error: --membership needs the reference backend (the "
-            f"{backend} backend does not track AddToCore/DelFromCore "
-            f"state); drop --backend {backend} or use --backend "
-            f"auto/reference",
-            file=sys.stderr,
-        )
-        return 2
     engine = _make_engine(args)
     graph = _load_graph(args.graph)
     start = time.perf_counter()
-    result = engine.decompose(
-        graph, backend=backend, store_membership=args.membership
-    )
+    try:
+        result = engine.decompose(
+            graph, backend=backend, store_membership=args.membership
+        )
+    except ValueError as error:
+        if not args.membership:
+            raise
+        print(
+            f"error: {error}; --membership needs --backend auto or reference",
+            file=sys.stderr,
+        )
+        return 2
     elapsed = time.perf_counter() - start
     print(f"graph: |V|={graph.num_vertices} |E|={graph.num_edges}")
     print(
@@ -541,19 +541,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "self-test: injecting batch boundary-drop bug "
             "(_trim_batch_region skips one affected-region edge)"
         )
-    if args.backend == "csr-vec":
+    if args.backend is not None:
         from .testing import DEFAULT_ORACLES
 
-        extra_kwargs["oracles"] = DEFAULT_ORACLES + ("csr-vec",)
-        print("extra oracle: csr-vec (vectorized peel) per checkpoint")
-    elif args.backend == "external":
-        from .testing import DEFAULT_ORACLES
-
-        extra_kwargs["oracles"] = DEFAULT_ORACLES + ("external",)
-        print(
-            "extra oracle: external (out-of-core partitioned spill, "
-            "2 partitions) per checkpoint"
-        )
+        extra_kwargs["oracles"] = DEFAULT_ORACLES + (args.backend,)
+        print(f"extra oracle: {args.backend} backend per checkpoint")
     if getattr(args, "external_bug", False):
         if args.backend != "external":
             print("--external-bug needs --backend external")
@@ -1062,9 +1054,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test: inject a batch affected-region boundary-drop bug "
         "and verify the harness catches it (use with --strategy batch)",
     )
+    from .engine import BACKENDS
+    from .testing import DEFAULT_ORACLES, ORACLE_NAMES
+
     p.add_argument(
         "--backend",
-        choices=("csr-vec", "external"),
+        choices=[
+            name for name in ORACLE_NAMES
+            if name in BACKENDS and name not in DEFAULT_ORACLES
+        ],
         default=None,
         help="cross-check this backend as an extra checkpoint oracle "
         "(csr-vec: vectorized peel; external: out-of-core partitioned "

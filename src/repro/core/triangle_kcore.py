@@ -204,12 +204,13 @@ def triangle_kcore_decomposition(
         maximum-core triangles and validating Rule 1.  Forces the reference
         backend.
     backend:
-        ``"reference"`` runs the dict-based implementation below;
-        ``"csr"`` snapshots the graph into flat integer arrays and runs the
-        :mod:`repro.fast` kernels (identical kappa maps, much faster on
-        large graphs); ``"csr-vec"`` adds the vectorized peel executor;
-        ``"external"`` spills the snapshot to disk and decomposes it out of
-        core; ``"auto"`` (default) picks one per the policy documented in
+        A row of :data:`repro.fast.BACKEND_OPS`: ``"reference"`` runs
+        :func:`reference_decomposition`; ``"csr"`` snapshots the graph
+        into flat integer arrays and runs the :mod:`repro.fast` kernels
+        (identical kappa maps, much faster on large graphs); ``"csr-vec"``
+        adds the vectorized peel executor; ``"external"`` spills the
+        snapshot to disk and decomposes it out of core; ``"auto"``
+        (default) picks one per the policy documented in
         :mod:`repro.fast`.
     counters:
         Optional dict that, when provided, receives work counters at no
@@ -237,21 +238,25 @@ def triangle_kcore_decomposition(
     >>> result.kappa_of("B", "C")
     2
     """
-    from ..fast import (
-        backend_executor,
-        csr_decomposition,
-        external_decomposition,
-        resolve_backend,
+    from ..fast import BACKEND_OPS, resolve_backend
+
+    name = resolve_backend(backend, graph, needs_reference=store_membership)
+    return BACKEND_OPS[name].decompose(
+        graph, store_membership=store_membership, counters=counters
     )
 
-    resolved = resolve_backend(backend, graph, needs_reference=store_membership)
-    if resolved in ("csr", "csr-vec"):
-        return csr_decomposition(
-            graph, counters=counters, executor=backend_executor(resolved)
-        )
-    if resolved == "external":
-        return external_decomposition(graph, counters=counters)
 
+def reference_decomposition(
+    graph: Graph,
+    *,
+    store_membership: bool = False,
+    counters: Optional[Dict[str, int]] = None,
+) -> TriangleKCoreResult:
+    """Algorithm 1 over dict-keyed canonical edges: the ``"reference"`` backend.
+
+    Parameters and result as in :func:`triangle_kcore_decomposition`; the
+    only backend that can keep the membership bookkeeping.
+    """
     # Steps 1-5: initial upper bounds = triangle supports.  A single pass
     # over the canonical triangle enumeration both counts supports and, when
     # requested, populates the membership sets.

@@ -4,12 +4,12 @@ One instrumented, cached, backend-dispatched path for every
 :math:`\\kappa(e)` consumer.  See :mod:`repro.engine.engine` for the
 design; the short version:
 
-* :class:`Engine` — backend registry (``reference``/``csr``/``csr-vec``/
-  ``external``/``auto`` plus the snapshot-oriented ``dynamic`` strategy), a
-  version-keyed artifact cache over
-  :attr:`Graph.version <repro.graph.undirected.Graph.version>`,
-  :meth:`Engine.map_decompose <repro.engine.engine.Engine.map_decompose>`
-  batch service, and :class:`EngineStats` instrumentation;
+* :class:`Engine` — backend dispatch through the one table,
+  :data:`repro.fast.BACKEND_OPS` (``reference``/``csr``/``csr-vec``/
+  ``external``, resolved from ``auto``), plus the engine-only,
+  snapshot-oriented ``dynamic`` strategy; a version-keyed artifact cache
+  over :attr:`Graph.version <repro.graph.undirected.Graph.version>`; and
+  :class:`EngineStats` instrumentation;
 * :func:`get_default_engine` / :func:`set_default_engine` /
   :func:`resolve_engine` — the module-level default every consumer API
   falls back to when no ``engine=`` handle is threaded;
@@ -18,7 +18,6 @@ design; the short version:
 
 from .engine import (
     BACKENDS,
-    BackendFn,
     Engine,
     decompose,
     get_default_engine,
@@ -29,7 +28,6 @@ from .stats import STATS_SCHEMA, EngineStats
 
 __all__ = [
     "BACKENDS",
-    "BackendFn",
     "Engine",
     "EngineStats",
     "STATS_SCHEMA",

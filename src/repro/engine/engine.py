@@ -7,15 +7,15 @@ baselines, the CLI — routes through an :class:`Engine` instead of calling
 The engine owns three concerns those layers previously re-implemented (or
 simply lacked):
 
-**Backend registry.**  ``"reference"``, ``"csr"``, ``"csr-vec"``,
-``"external"`` (out-of-core spill — see :mod:`repro.fast.external`) and
-``"auto"`` dispatch exactly as before (the composition policy lives in
-:mod:`repro.fast` — see DESIGN.md "Kernel layering"), plus a
-``"dynamic"`` strategy: the first decomposition warms a
-:class:`~repro.core.dynamic.DynamicTriangleKCore`, and every subsequent
-call answers by diffing the requested graph against the maintainer's state
-and applying the delta incrementally (Algorithm 2) — the shape snapshot
-streams and what-if analyses want.  Custom backends can be registered.
+**Backend dispatch.**  ``"reference"``, ``"csr"``, ``"csr-vec"`` and
+``"external"`` (out-of-core spill — see :mod:`repro.fast.external`) are
+the rows of the one backend table, :data:`repro.fast.BACKEND_OPS`, which
+also holds the ``"auto"`` policy (see DESIGN.md "Kernel layering").  The
+engine adds only the ``"dynamic"`` strategy: the first decomposition
+warms a :class:`~repro.core.dynamic.DynamicTriangleKCore`, and every
+subsequent call answers by diffing the requested graph against the
+maintainer's state and applying the delta incrementally (Algorithm 2) —
+the shape snapshot streams and what-if analyses want.
 
 **Artifact cache.**  Decomposition results, triangle supports, triangle
 lists and counts are memoized per graph *structural state*, keyed by
@@ -41,26 +41,14 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..exceptions import ReproError
 from ..graph.edge import Edge, Triangle, Vertex
 from ..graph.undirected import Graph
 from ..core.dynamic import DynamicTriangleKCore, KappaDelta
-from ..core.triangle_kcore import TriangleKCoreResult, triangle_kcore_decomposition
+from ..core.triangle_kcore import TriangleKCoreResult
 from .stats import EngineStats
-
-#: A backend implementation: ``(engine, graph, store_membership) -> result``.
-BackendFn = Callable[["Engine", Graph, bool], TriangleKCoreResult]
-
 
 class _GraphEntry:
     """Cached artifacts for one structural state of one live graph."""
@@ -73,129 +61,12 @@ class _GraphEntry:
         self.artifacts: Dict[tuple, object] = {}
 
 
-def _decompose_reference(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    counters: Dict[str, int] = {}
-    with engine.stats.stage("decompose.reference"):
-        result = triangle_kcore_decomposition(
-            graph,
-            backend="reference",
-            store_membership=store_membership,
-            counters=counters,
-        )
-    engine.stats.merge_counters(counters)
-    return result
-
-
-def _decompose_csr_family(
-    engine: "Engine", graph: Graph, store_membership: bool, backend: str
-) -> TriangleKCoreResult:
-    """``"csr"``/``"csr-vec"``: in-process kernels + selected peel executor."""
-    if store_membership:
-        raise ValueError(
-            f"backend={backend!r} does not support membership bookkeeping; "
-            "use backend='reference' (or 'auto')"
-        )
-    from ..fast import (
-        CSRGraph,
-        backend_executor,
-        enumerate_arrays,
-        peel_to_result,
-    )
-
-    counters: Dict[str, int] = {}
-    peel_stats: Dict[str, object] = {}
-    stage = engine.stats.stage
-    # The composition of fast.csr_decomposition, one sub-stage per layer.
-    # Decoding to labelled edges is not here: the result decodes on first
-    # access to .kappa/.processing_order, outside the engine.
-    with stage(f"decompose.{backend}"):
-        with stage(f"decompose.{backend}.build"):
-            csr = CSRGraph.from_graph(graph)
-        with stage(f"decompose.{backend}.enumerate"):
-            precomputed = enumerate_arrays(csr)
-        with stage(f"decompose.{backend}.peel"):
-            result = peel_to_result(
-                csr,
-                precomputed,
-                counters,
-                executor=backend_executor(backend),
-                peel_stats=peel_stats,
-            )
-    engine.stats.merge_counters(counters)
-    engine.stats.record_peel(peel_stats)
-    return result
-
-
-def _decompose_csr(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_csr_family(engine, graph, store_membership, "csr")
-
-
-def _decompose_csr_vec(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_csr_family(engine, graph, store_membership, "csr-vec")
-
-
-def _decompose_external(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    """``"external"``: out-of-core partitioned spill + reconciliation peel."""
-    if store_membership:
-        raise ValueError(
-            "backend='external' does not support membership bookkeeping; "
-            "use backend='reference' (or 'auto')"
-        )
-    from ..fast.external import ExternalInfo, external_decomposition
-
-    counters: Dict[str, int] = {}
-    peel_stats: Dict[str, object] = {}
-    info: ExternalInfo = {}
-    with engine.stats.stage("decompose.external"):
-        result = external_decomposition(
-            graph,
-            spill_dir=engine.spill_dir,
-            memory_budget=engine.memory_budget,
-            counters=counters,
-            peel_stats=peel_stats,
-            info=info,
-        )
-    engine.stats.merge_counters(counters)
-    engine.stats.record_external(
-        info.get("partitions", 1),
-        info.get("passes", 0),
-        info.get("bytes_mapped", 0),
-        info.get("bound_prune_hits", 0),
-    )
-    engine.stats.record_peel(peel_stats)
-    return result
-
-
-def _decompose_dynamic(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    if store_membership:
-        raise ValueError(
-            "backend='dynamic' does not support membership bookkeeping; "
-            "use backend='reference' (or 'auto')"
-        )
-    return engine._dynamic_decompose(graph)
-
-
-_BUILTIN_BACKENDS: Dict[str, BackendFn] = {
-    "reference": _decompose_reference,
-    "csr": _decompose_csr,
-    "csr-vec": _decompose_csr_vec,
-    "external": _decompose_external,
-    "dynamic": _decompose_dynamic,
-}
-
-#: Backend names the engine accepts out of the box (order: CLI display).
-#: Derived from the registry so the two can never drift apart.
-BACKENDS = ("auto",) + tuple(_BUILTIN_BACKENDS)
+#: Backend names the engine accepts (order: CLI display): ``"auto"``, the
+#: rows of :data:`repro.fast.BACKEND_OPS`, and the engine-only
+#: ``"dynamic"``.  Spelled out rather than derived so that importing the
+#: engine does not import :mod:`repro.fast` (and numpy) before a kernel
+#: runs; tests/test_backend_conformance.py pins it to the table.
+BACKENDS = ("auto", "reference", "csr", "csr-vec", "external", "dynamic")
 
 
 class Engine:
@@ -204,8 +75,8 @@ class Engine:
     Parameters
     ----------
     default_backend:
-        Backend used when a call does not name one.  Any registered name
-        or ``"auto"``.
+        Backend used when a call does not name one: any name in
+        :data:`BACKENDS`.
     max_cached_graphs:
         How many distinct graphs keep artifacts simultaneously (LRU
         eviction).  ``0`` disables the cache entirely — every call
@@ -257,8 +128,7 @@ class Engine:
             raise ValueError(
                 f"max_cached_graphs must be >= 0, got {max_cached_graphs}"
             )
-        if dynamic_strategy not in ("incremental", "recompute", "auto",
-                                    "batch"):
+        if dynamic_strategy not in DynamicTriangleKCore.STRATEGIES:
             raise ValueError(
                 "dynamic_strategy must be incremental/recompute/auto/batch, "
                 f"got {dynamic_strategy!r}"
@@ -267,7 +137,6 @@ class Engine:
             raise ValueError(
                 f"memory_budget must be >= 1 byte, got {memory_budget}"
             )
-        self._registry: Dict[str, BackendFn] = dict(_BUILTIN_BACKENDS)
         self._stats_sections: Dict[str, Callable[[], Dict[str, object]]] = {}
         self._cache: "OrderedDict[int, _GraphEntry]" = OrderedDict()
         self._max_cached_graphs = max_cached_graphs
@@ -284,7 +153,7 @@ class Engine:
         self.default_backend = default_backend  # validated by the property
 
     # ------------------------------------------------------------------ #
-    # backend registry
+    # backend dispatch
     # ------------------------------------------------------------------ #
 
     @property
@@ -293,61 +162,49 @@ class Engine:
 
     @default_backend.setter
     def default_backend(self, name: str) -> None:
-        if name != "auto" and name not in self._registry:
+        if name not in BACKENDS:
             raise ValueError(
-                f"unknown backend {name!r}; expected one of {self.backends()}"
+                f"unknown backend {name!r}; expected one of {BACKENDS}"
             )
         self._default_backend = name
 
     def backends(self) -> Tuple[str, ...]:
-        """Every dispatchable name: ``"auto"`` plus the registry."""
-        return ("auto",) + tuple(
-            name for name in self._registry if name != "auto"
-        )
-
-    def register_backend(
-        self, name: str, fn: BackendFn, *, replace: bool = False
-    ) -> None:
-        """Register a custom decomposition backend under ``name``.
-
-        ``fn(engine, graph, store_membership)`` must return a
-        :class:`TriangleKCoreResult` whose kappa map equals Algorithm 1's
-        on ``graph`` — the cache will serve its artifacts interchangeably
-        for that name.
-        """
-        if name == "auto":
-            raise ValueError("'auto' is the dispatch policy, not a backend")
-        if name in self._registry and not replace:
-            raise ValueError(
-                f"backend {name!r} already registered (pass replace=True)"
-            )
-        self._registry[name] = fn
+        """Every dispatchable name (:data:`BACKENDS`)."""
+        return BACKENDS
 
     def resolve(
         self, backend: Optional[str], graph: Graph, *, store_membership: bool = False
     ) -> str:
-        """Resolve a requested backend name to a concrete registry entry.
+        """Resolve a requested backend name to a concrete backend.
 
         ``None`` means the engine default; ``"auto"`` picks an
         in-process backend (or ``"external"`` over the memory budget) by
         the :mod:`repro.fast` size policy, and degrades to reference when
         membership bookkeeping is requested.
         """
-        name = self.default_backend if backend is None else backend
-        if name == "auto":
-            from ..fast import resolve_backend
+        from ..fast import ENGINE_ONLY_BACKENDS, check_membership, resolve_backend
 
-            return resolve_backend(
-                "auto",
-                graph,
-                needs_reference=store_membership,
-                memory_budget=self.memory_budget,
-            )
-        if name not in self._registry:
-            raise ValueError(
-                f"unknown backend {name!r}; expected one of {self.backends()}"
-            )
-        return name
+        name = self.default_backend if backend is None else backend
+        if name in ENGINE_ONLY_BACKENDS:
+            check_membership(name, store_membership)
+            return name
+        return resolve_backend(
+            name,
+            graph,
+            needs_reference=store_membership,
+            memory_budget=self.memory_budget,
+        )
+
+    def _resolve_static(self, backend: Optional[str], graph: Graph) -> str:
+        """:meth:`resolve` for a static artifact (supports, counts, a seed).
+
+        ``"dynamic"`` keeps no static artifacts of its own, so it serves
+        them from the ``"reference"`` row.
+        """
+        from ..fast import BACKEND_OPS
+
+        name = self.resolve(backend, graph)
+        return name if name in BACKEND_OPS else "reference"
 
     # ------------------------------------------------------------------ #
     # artifact cache
@@ -430,52 +287,48 @@ class Engine:
             self.stats.bump("cache_misses")
         self.stats.bump("decompositions")
         self.stats.record_backend(name)
-        result = self._registry[name](self, graph, store_membership)
+        if name == "dynamic":
+            result = self._dynamic_decompose(graph)
+        else:
+            result = self._static_decompose(name, graph, store_membership)
         if use_cache:
             self._cache_put(graph, key, result)
         return result
 
-    def map_decompose(
-        self,
-        graphs: "Iterable[Graph]",
-        *,
-        backend: Optional[str] = None,
-        store_membership: bool = False,
-        use_cache: bool = True,
-    ) -> List[TriangleKCoreResult]:
-        """Decompose many graphs, one result per input, in input order.
+    def _static_decompose(
+        self, name: str, graph: Graph, store_membership: bool
+    ) -> TriangleKCoreResult:
+        """Run the :data:`~repro.fast.BACKEND_OPS` row ``name``, instrumented."""
+        from ..fast import BACKEND_OPS
 
-        Each graph is served through :meth:`decompose` — and therefore
-        through the version-keyed artifact cache, so duplicate (identical
-        object, unmutated) graphs in the batch cost one decomposition and
-        ``len - 1`` cache hits.  ``backend`` resolves per graph exactly as
-        in :meth:`decompose` (``"auto"`` may pick differently for graphs
-        of different sizes within one batch).
-        """
-        self.stats.bump("batch_calls")
-        results: List[TriangleKCoreResult] = []
-        with self.stats.stage("decompose.batch"):
-            for graph in graphs:
-                results.append(
-                    self.decompose(
-                        graph,
-                        backend=backend,
-                        store_membership=store_membership,
-                        use_cache=use_cache,
-                    )
-                )
-        self.stats.bump("batch_graphs", len(results))
-        return results
+        counters: Dict[str, int] = {}
+        peel_stats: Dict[str, object] = {}
+        info: Dict[str, int] = {}
+        stage = self.stats.stage
+        with stage(f"decompose.{name}"):
+            result = BACKEND_OPS[name].decompose(
+                graph,
+                store_membership=store_membership,
+                counters=counters,
+                peel_stats=peel_stats,
+                info=info,
+                stage=lambda layer: stage(f"decompose.{name}.{layer}"),
+                spill_dir=self.spill_dir,
+                memory_budget=self.memory_budget,
+            )
+        self.stats.merge_counters(counters)
+        if info:
+            self.stats.record_external(info)
+        self.stats.record_peel(peel_stats)
+        return result
 
     def triangle_supports(
         self, graph: Graph, *, backend: Optional[str] = None, use_cache: bool = True
     ) -> Dict[Edge, int]:
         """Cached ``{edge: triangle support}`` (the pre-peel bounds)."""
-        from ..graph.triangles import triangle_supports
+        from ..fast import BACKEND_OPS
 
-        name = self.resolve(backend, graph)
-        if name == "dynamic":  # supports are a static artifact
-            name = "reference"
+        name = self._resolve_static(backend, graph)
         key = ("supports", name)
         if use_cache:
             cached = self._cache_get(graph, key)
@@ -484,7 +337,7 @@ class Engine:
                 return cached  # type: ignore[return-value]
             self.stats.bump("cache_misses")
         with self.stats.stage(f"supports.{name}"):
-            supports = triangle_supports(graph, backend=name)
+            supports = BACKEND_OPS[name].supports(graph)
         if use_cache:
             self._cache_put(graph, key, supports)
         return supports
@@ -512,11 +365,9 @@ class Engine:
         self, graph: Graph, *, backend: Optional[str] = None, use_cache: bool = True
     ) -> int:
         """Cached total triangle count."""
-        from ..graph.triangles import count_triangles
+        from ..fast import BACKEND_OPS
 
-        name = self.resolve(backend, graph)
-        if name == "dynamic":
-            name = "reference"
+        name = self._resolve_static(backend, graph)
         key = ("triangle_count",)
         if use_cache:
             cached = self._cache_get(graph, key)
@@ -525,7 +376,7 @@ class Engine:
                 return cached  # type: ignore[return-value]
             self.stats.bump("cache_misses")
         with self.stats.stage(f"count.{name}"):
-            count = count_triangles(graph, backend=name)
+            count = BACKEND_OPS[name].count(graph)
         if use_cache:
             self._cache_put(graph, key, count)
         return count
@@ -590,7 +441,7 @@ class Engine:
         fine-grained instrument).
 
         ``seed_backend`` warms the maintainer from a decomposition served
-        through :meth:`decompose` with that backend (so a registered fast
+        through :meth:`decompose` with that backend (so a fast kernel
         backend — or the artifact cache — pays for the initial kappa map
         instead of the maintainer's private reference run).  This is the
         shared-state hook long-lived consumers such as
@@ -599,10 +450,9 @@ class Engine:
         """
         seed_result = None
         if seed_backend is not None:
-            name = self.resolve(seed_backend, graph)
-            if name == "dynamic":  # the maintainer *is* the dynamic state
-                name = "reference"
-            seed_result = self.decompose(graph, backend=name)
+            seed_result = self.decompose(
+                graph, backend=self._resolve_static(seed_backend, graph)
+            )
         with self.stats.stage("maintainer.warm"):
             maintainer = DynamicTriangleKCore(
                 graph,

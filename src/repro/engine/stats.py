@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Mapping
 
 #: Version tag for the structured stats payload; bump on schema changes.
 STATS_SCHEMA = "repro.engine.stats/7"
@@ -138,32 +138,19 @@ class EngineStats:
                 peel_stats.get(key, 0)
             )
 
-    def record_external(
-        self,
-        partitions: int,
-        passes: int,
-        bytes_mapped: int,
-        bound_prune_hits: int,
-    ) -> None:
+    def record_external(self, info: Mapping[str, int]) -> None:
         """Record one ``"external"``-backend decomposition.
 
-        ``partitions`` reflects the most recent run (it overwrites);
-        ``decompositions``/``passes``/``bytes_mapped``/
-        ``bound_prune_hits`` accumulate.
+        ``info`` is the run's ``ExternalInfo`` (see
+        :mod:`repro.fast.external`).  ``partitions`` reflects the most
+        recent run (it overwrites); ``decompositions``/``passes``/
+        ``bytes_mapped``/``bound_prune_hits`` accumulate.
         """
-        self.external["decompositions"] = (
-            self.external.get("decompositions", 0) + 1
-        )
-        self.external["partitions"] = int(partitions)
-        self.external["passes"] = (
-            self.external.get("passes", 0) + int(passes)
-        )
-        self.external["bytes_mapped"] = (
-            self.external.get("bytes_mapped", 0) + int(bytes_mapped)
-        )
-        self.external["bound_prune_hits"] = (
-            self.external.get("bound_prune_hits", 0) + int(bound_prune_hits)
-        )
+        external = self.external
+        external["decompositions"] = external.get("decompositions", 0) + 1
+        external["partitions"] = int(info["partitions"])
+        for key in ("passes", "bytes_mapped", "bound_prune_hits"):
+            external[key] = external.get(key, 0) + int(info[key])
 
     def record_batch(
         self,

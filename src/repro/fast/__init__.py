@@ -20,16 +20,19 @@ layering" has the full composition table):
   behind the :class:`~repro.fast.peelers.PeelExecutor` seam: the scalar
   bucket-queue walk or the vectorized level-synchronous executor;
 * **L4 — dispatch**: this module — wrapping kernel output in the
-  array-backed public result (see "Results" below) and the ``backend``
-  policy composing substrate × enumeration × executor for every entry
-  point.
+  array-backed public result (see "Results" below), and
+  :data:`BACKEND_OPS`, the one table that maps a backend name to its
+  decompose, supports and count operations for every entry point, with
+  the ``"auto"`` policy (:func:`resolve_backend`) that picks a row.
 
 Backends
 --------
 
 ``"reference"``
     The original pure-dict implementations.  Always available; required
-    for ``store_membership=True``.
+    for ``store_membership=True``.  (:class:`repro.engine.Engine` also
+    serves ``"dynamic"``, :data:`ENGINE_ONLY_BACKENDS`, which is not a
+    row here.)
 ``"csr"``
     Snapshot + kernels + **scalar** peel.  Produces identical kappa maps
     (property-tested against both the reference and networkx), but its
@@ -48,7 +51,10 @@ Backends
     partitions to a fixed point (:mod:`repro.fast.external`).  Resident
     memory stays O(n + m) words plus one byte per triangle regardless of
     graph size.  Bit-identical to ``"csr"`` (kappa) *and* ``"csr-vec"``
-    (canonical processing order) for any partition count.
+    (canonical processing order) for any partition count.  Only the
+    decomposition is out of core: triangle supports and counts run the
+    in-RAM CSR kernel, as for ``"csr"`` (the supports dict is in RAM
+    either way).
 ``"auto"``
     By measured tiering, always in process: ``"external"`` when a
     ``memory_budget`` is configured and the estimated CSR payload exceeds
@@ -76,14 +82,19 @@ public :func:`supports_and_triangles`, :func:`peel` and
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, ContextManager, Dict, Optional, Tuple
 
 from ..exceptions import BackendError
 from ..graph.edge import Edge
+from ..graph.triangles import reference_count_triangles, reference_triangle_supports
 from ..graph.undirected import Graph
 from .csr import CSRGraph, EdgeIdArrays, IntSeq, int_sum
 from .external import (
     ExternalCSR,
+    ExternalInfo,
     SpillError,
     cleanup_stale,
     decompose_spill,
@@ -108,12 +119,16 @@ __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
     "AUTO_MIN_EDGES",
     "BACKENDS",
+    "BACKEND_OPS",
     "BackendError",
+    "BackendOps",
     "CSRGraph",
+    "ENGINE_ONLY_BACKENDS",
     "ExternalCSR",
     "PEEL_EXECUTORS",
     "SpillError",
     "backend_executor",
+    "check_membership",
     "cleanup_stale",
     "csr_count_triangles",
     "csr_decomposition",
@@ -131,15 +146,9 @@ __all__ = [
     "triangle_supports",
 ]
 
-#: Backends this package can resolve (the engine registry adds more, e.g.
-#: ``"dynamic"`` — see :func:`_known_backends`).
-BACKENDS = (
-    "auto",
-    "reference",
-    "csr",
-    "csr-vec",
-    "external",
-)
+#: Backends that only :class:`repro.engine.Engine` serves: ``"dynamic"``
+#: answers from a warm maintainer the engine keeps between calls.
+ENGINE_ONLY_BACKENDS = ("dynamic",)
 
 #: "auto" switches to the CSR kernels at this edge count; below it the
 #: snapshot build costs more than the dict overhead it saves (measured in
@@ -159,20 +168,18 @@ def backend_executor(backend: str) -> str:
     return "vector" if backend.endswith("-vec") else "scalar"
 
 
-def _known_backends() -> Tuple[str, ...]:
-    """Every backend name the system knows, for error messages.
+def check_membership(backend: str, needs_reference: bool) -> None:
+    """Refuse membership bookkeeping on a backend that cannot track it.
 
-    Derived from the engine registry when importable (so engine-level
-    backends such as ``"dynamic"`` — and anything added via
-    ``Engine.register_backend`` defaults — are listed automatically),
-    falling back to this package's own tuple during partial imports.
+    Only ``"reference"`` keeps AddToCore/DelFromCore state; ``"auto"``
+    degrades to it instead of refusing.  Every entry point's refusal is
+    this one.
     """
-    try:
-        from ..engine.engine import _BUILTIN_BACKENDS
-
-        return ("auto",) + tuple(_BUILTIN_BACKENDS)
-    except ImportError:  # pragma: no cover - only during bootstrap
-        return BACKENDS
+    if needs_reference and backend not in ("auto", "reference"):
+        raise ValueError(
+            f"backend={backend!r} does not support membership "
+            "bookkeeping; use backend='reference' (or 'auto')"
+        )
 
 
 def resolve_backend(
@@ -182,7 +189,7 @@ def resolve_backend(
     needs_reference: bool = False,
     memory_budget: Optional[int] = None,
 ) -> str:
-    """Resolve ``backend`` to a concrete kernel composition.
+    """Resolve ``backend`` to a row of :data:`BACKEND_OPS`.
 
     Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"`` or
     ``"external"``.
@@ -194,24 +201,18 @@ def resolve_backend(
     estimated CSR payload would exceed the budget, ``"auto"`` spills.
     """
     if backend not in BACKENDS:
-        known = _known_backends()
+        known = BACKENDS + ENGINE_ONLY_BACKENDS
         if backend in known:
             raise ValueError(
                 f"backend {backend!r} is only available through "
                 f"repro.engine.Engine (known backends: {known})"
             )
         raise ValueError(f"unknown backend {backend!r}; expected one of {known}")
-    if backend == "reference":
-        return "reference"
-    if needs_reference:
-        if backend != "auto":
-            raise ValueError(
-                f"backend={backend!r} does not support membership "
-                "bookkeeping; use backend='reference' (or 'auto')"
-            )
-        return "reference"
+    check_membership(backend, needs_reference)
     if backend != "auto":
         return backend
+    if needs_reference:
+        return "reference"
     from . import csr as _csr_mod
 
     if graph.num_edges >= AUTO_EXTERNAL_MIN_EDGES or (
@@ -283,12 +284,17 @@ def peel_to_result(
     )
 
 
+def _untimed(layer: str) -> ContextManager[None]:
+    return nullcontext()
+
+
 def csr_decomposition(
     graph: Graph,
     *,
     counters: Optional[Dict[str, int]] = None,
     executor: str = "scalar",
     peel_stats: Optional[Dict[str, object]] = None,
+    stage: Callable[[str], ContextManager[None]] = _untimed,
 ) -> "TriangleKCoreResult":  # noqa: F821
     """Algorithm 1 via the CSR kernels, as an array-backed public result.
 
@@ -297,13 +303,120 @@ def csr_decomposition(
     ``counters`` mirrors the instrumentation hook of
     :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`: the
     same keys, derived from arrays the kernels build anyway;
-    ``peel_stats`` receives the executor telemetry.
+    ``peel_stats`` receives the executor telemetry.  ``stage(layer)`` is
+    entered around each layer — ``"build"``, ``"enumerate"``, ``"peel"``
+    — so a caller can time them (the engine's ``decompose.<backend>.*``
+    sub-stages).  Decoding to labelled edges is not a layer here: the
+    result decodes on first access to ``.kappa``/``.processing_order``.
     """
-    csr = CSRGraph.from_graph(graph)
-    return peel_to_result(
-        csr,
-        enumerate_arrays(csr),
-        counters,
+    with stage("build"):
+        csr = CSRGraph.from_graph(graph)
+    with stage("enumerate"):
+        precomputed = enumerate_arrays(csr)
+    with stage("peel"):
+        return peel_to_result(
+            csr, precomputed, counters, executor=executor, peel_stats=peel_stats
+        )
+
+
+# ---------------------------------------------------------------------- #
+# the backend table
+# ---------------------------------------------------------------------- #
+#
+# Every row's ``decompose`` takes the graph plus the keywords the engine
+# passes to all rows — ``store_membership``, ``counters``, ``peel_stats``,
+# ``info``, ``stage``, ``spill_dir``, ``memory_budget`` — and uses the ones
+# that apply to it (``**_`` takes the rest).  The free functions pass only
+# ``store_membership`` and ``counters``.
+
+
+def _decompose_reference(
+    graph: Graph,
+    *,
+    store_membership: bool = False,
+    counters: Optional[Dict[str, int]] = None,
+    **_: object,
+) -> "TriangleKCoreResult":  # noqa: F821
+    from ..core.triangle_kcore import reference_decomposition
+
+    return reference_decomposition(
+        graph, store_membership=store_membership, counters=counters
+    )
+
+
+def _decompose_csr(
+    graph: Graph,
+    *,
+    executor: str,
+    counters: Optional[Dict[str, int]] = None,
+    peel_stats: Optional[Dict[str, object]] = None,
+    stage: Callable[[str], ContextManager[None]] = _untimed,
+    **_: object,
+) -> "TriangleKCoreResult":  # noqa: F821
+    return csr_decomposition(
+        graph,
+        counters=counters,
         executor=executor,
         peel_stats=peel_stats,
+        stage=stage,
     )
+
+
+def _decompose_external(
+    graph: Graph,
+    *,
+    counters: Optional[Dict[str, int]] = None,
+    peel_stats: Optional[Dict[str, object]] = None,
+    info: Optional[ExternalInfo] = None,
+    spill_dir: Optional[str] = None,
+    memory_budget: Optional[int] = None,
+    **_: object,
+) -> "TriangleKCoreResult":  # noqa: F821
+    return external_decomposition(
+        graph,
+        spill_dir=spill_dir,
+        memory_budget=memory_budget,
+        counters=counters,
+        peel_stats=peel_stats,
+        info=info,
+    )
+
+
+@dataclass(frozen=True)
+class BackendOps:
+    """One row of :data:`BACKEND_OPS`: the code a backend name runs."""
+
+    decompose: Callable[..., "TriangleKCoreResult"]  # noqa: F821
+    supports: Callable[[Graph], Dict[Edge, int]]
+    count: Callable[[Graph], int]
+
+
+#: The one map from a backend name to code.  Every entry point —
+#: :func:`~repro.core.triangle_kcore.triangle_kcore_decomposition`,
+#: :func:`~repro.graph.triangles.triangle_supports`,
+#: :func:`~repro.graph.triangles.count_triangles` and
+#: :class:`repro.engine.Engine` — looks its resolved name up here.
+#: ``"external"`` counts triangles and supports with the in-RAM CSR kernel:
+#: the supports dict is in RAM either way, and only the decomposition runs
+#: out of core.
+BACKEND_OPS: Dict[str, BackendOps] = {
+    "reference": BackendOps(
+        _decompose_reference, reference_triangle_supports, reference_count_triangles
+    ),
+    "csr": BackendOps(
+        partial(_decompose_csr, executor="scalar"),
+        csr_triangle_supports,
+        csr_count_triangles,
+    ),
+    "csr-vec": BackendOps(
+        partial(_decompose_csr, executor="vector"),
+        csr_triangle_supports,
+        csr_count_triangles,
+    ),
+    "external": BackendOps(
+        _decompose_external, csr_triangle_supports, csr_count_triangles
+    ),
+}
+
+#: Names :func:`resolve_backend` accepts: ``"auto"`` plus the table rows.
+BACKENDS = ("auto",) + tuple(BACKEND_OPS)

@@ -72,22 +72,19 @@ def enumerate_triangles(graph: Graph) -> Iterator[Triangle]:
 def count_triangles(graph: Graph, *, backend: str = "auto") -> int:
     """Return the total number of triangles in ``graph``.
 
-    ``backend`` selects the implementation: ``"reference"`` iterates
-    :func:`enumerate_triangles`, ``"csr"`` runs the flat-array kernel of
-    :mod:`repro.fast`, ``"auto"`` (default) picks by graph size.
+    ``backend`` names a row of :data:`repro.fast.BACKEND_OPS`:
+    ``"reference"`` iterates :func:`enumerate_triangles`; ``"csr"``,
+    ``"csr-vec"`` and ``"external"`` all run the in-RAM CSR kernel of
+    :mod:`repro.fast` (counting never peels or spills); ``"auto"``
+    (default) picks by graph size.
 
     >>> from .undirected import complete_graph
     >>> count_triangles(complete_graph(6))
     20
     """
-    from ..fast import csr_count_triangles, resolve_backend
+    from ..fast import BACKEND_OPS, resolve_backend
 
-    # Counting never peels, so the -vec compositions (which differ only in
-    # peel executor) collapse to their base enumeration family here.
-    resolved = resolve_backend(backend, graph)
-    if resolved in ("csr", "csr-vec"):
-        return csr_count_triangles(graph)
-    return sum(1 for _ in enumerate_triangles(graph))
+    return BACKEND_OPS[resolve_backend(backend, graph)].count(graph)
 
 
 def triangle_supports(graph: Graph, *, backend: str = "auto") -> Dict[Edge, int]:
@@ -99,15 +96,21 @@ def triangle_supports(graph: Graph, *, backend: str = "auto") -> Dict[Edge, int]
 
     Computed in a single pass over the triangle enumeration, so the cost is
     O(|E| + |Tri|) rather than one common-neighbor intersection per edge.
-    ``backend`` works as in :func:`count_triangles`; both paths return
-    identical mappings.
+    ``backend`` works as in :func:`count_triangles`; every backend returns
+    the same mapping, held in RAM.
     """
-    from ..fast import csr_triangle_supports, resolve_backend
+    from ..fast import BACKEND_OPS, resolve_backend
 
-    # Supports never peel either — same -vec → base-family collapse.
-    resolved = resolve_backend(backend, graph)
-    if resolved in ("csr", "csr-vec"):
-        return csr_triangle_supports(graph)
+    return BACKEND_OPS[resolve_backend(backend, graph)].supports(graph)
+
+
+def reference_count_triangles(graph: Graph) -> int:
+    """:func:`count_triangles` of the ``"reference"`` backend."""
+    return sum(1 for _ in enumerate_triangles(graph))
+
+
+def reference_triangle_supports(graph: Graph) -> Dict[Edge, int]:
+    """:func:`triangle_supports` of the ``"reference"`` backend."""
     supports: Dict[Edge, int] = {edge: 0 for edge in graph.edges()}
     for a, b, c in enumerate_triangles(graph):
         supports[(a, b)] += 1

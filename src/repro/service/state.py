@@ -29,6 +29,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.community import CommunityIndex
+from ..core.dynamic import DynamicTriangleKCore
 from ..core.hierarchy import CommunityHierarchy, CommunityNode
 from ..engine import Engine
 from ..graph.edge import Vertex, canonical_edge
@@ -233,7 +234,7 @@ class ServiceState:
         engine: Optional[Engine] = None,
         edit_strategy: str = "auto",
     ) -> None:
-        if edit_strategy not in ("incremental", "recompute", "auto", "batch"):
+        if edit_strategy not in DynamicTriangleKCore.STRATEGIES:
             raise ValueError(
                 f"edit_strategy must be incremental/recompute/auto/batch, "
                 f"got {edit_strategy!r}"
@@ -511,10 +512,8 @@ class ServiceState:
         Only the recompute path (which swaps the maintainer wholesale)
         still pays the O(|E|) before-snapshot.
         """
-        from ..core.dynamic import DynamicTriangleKCore
-
         strategy = strategy or self.edit_strategy
-        if strategy not in ("incremental", "recompute", "auto", "batch"):
+        if strategy not in DynamicTriangleKCore.STRATEGIES:
             raise ServiceError(
                 400,
                 ERR_BAD_REQUEST,
@@ -590,7 +589,6 @@ class ServiceState:
         version is advanced past the old one so the monotonic-version
         contract survives the swap.
         """
-        from ..core.dynamic import DynamicTriangleKCore
         from ..testing.editscript import apply_op
 
         old_version = self.version

@@ -1,23 +1,23 @@
-"""Cross-backend conformance: every registered backend, same answers.
+"""Cross-backend conformance: every backend, same answers.
 
 The matrix axes:
 
-* **backends** — every entry of the engine registry (``reference``,
-  ``csr``, ``csr-vec``, ``external``, ``dynamic``) plus
-  a dummy backend registered at test time through
-  ``Engine.register_backend``, proving third-party entrants ride the same
-  contract (new registry entries join the matrix automatically);
+* **backends** — every name in :data:`repro.engine.BACKENDS`: ``auto``,
+  the rows of the one backend table :data:`repro.fast.BACKEND_OPS`
+  (``reference``, ``csr``, ``csr-vec``, ``external``) and the
+  engine-only ``dynamic`` (a new table row joins the matrix
+  automatically);
 * **graphs** — the paper's Figure 2/3 examples, cliques, degenerate
   shapes, seeded random graphs, a graph mixing int, str and float
   labels, the final state of every committed fuzz corpus bundle, and
   hypothesis-generated graphs.
 
-Asserted per cell: the kappa map equals the reference backend's exactly;
-processing order is bit-identical within the vector executor family
-(``csr-vec`` == ``external`` at every partition count); triangle counts
-agree across
-counting backends; membership bookkeeping is refused by every backend
-that cannot provide it (error contract), and the ``auto`` policy degrades
+Asserted per cell: the kappa map, triangle supports and triangle count
+equal the reference backend's exactly, through :class:`Engine` and through
+the free functions; processing order is bit-identical within the vector
+executor family (``csr-vec`` == ``external`` at every partition count);
+membership bookkeeping is refused by every backend that cannot provide
+it, with one message (error contract), and the ``auto`` policy degrades
 instead of erroring.  Each check runs on a fresh cache-disabled engine so
 no backend can serve another's artifact.
 """
@@ -31,15 +31,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import triangle_kcore_decomposition
-from repro.engine import Engine
-from repro.engine.engine import _BUILTIN_BACKENDS, BACKENDS
-from repro.fast import csr_decomposition
+from repro.engine import BACKENDS, Engine
+from repro.fast import BACKEND_OPS, ENGINE_ONLY_BACKENDS, csr_decomposition
 from repro.fast.external import external_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi
-from repro.graph.triangles import count_triangles
+from repro.graph.triangles import count_triangles, triangle_supports
 from repro.testing import ReproBundle
 
-ALL_BACKENDS = tuple(_BUILTIN_BACKENDS)
+ALL_BACKENDS = tuple(name for name in BACKENDS if name != "auto")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_PATHS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -95,35 +94,43 @@ def fresh_engine(**kwargs) -> Engine:
     return Engine(**kwargs)
 
 
-def register_mirror(engine: Engine) -> None:
-    """A dummy third-party backend: reference under another name."""
-
-    def mirror(eng, graph, store_membership):
-        return triangle_kcore_decomposition(
-            graph, backend="reference", store_membership=store_membership
-        )
-
-    engine.register_backend("mirror", mirror)
-
-
 # ------------------------------------------------------------------ #
 # kappa conformance
 # ------------------------------------------------------------------ #
 
 
 class TestKappaConformance:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS + ("mirror",))
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_fixed_graphs(self, backend, name):
+        # One table-driven cell: decompose, supports and count, through the
+        # engine and (for every name but the engine-only ones) through the
+        # free functions.
         graph = fixed_graphs()[name]
-        expected = triangle_kcore_decomposition(graph, backend="reference")
-        engine = fresh_engine()
-        if backend == "mirror":
-            register_mirror(engine)
-        result = engine.decompose(graph, backend=backend)
-        assert result.kappa == expected.kappa, (
-            f"backend {backend!r} disagrees with reference on {name!r}"
+        expected = (
+            triangle_kcore_decomposition(graph, backend="reference").kappa,
+            triangle_supports(graph, backend="reference"),
+            count_triangles(graph, backend="reference"),
         )
+        engine = fresh_engine()
+        answers = {
+            "engine": (
+                engine.decompose(graph, backend=backend).kappa,
+                engine.triangle_supports(graph, backend=backend),
+                engine.count_triangles(graph, backend=backend),
+            )
+        }
+        if backend not in ENGINE_ONLY_BACKENDS:
+            answers["free functions"] = (
+                triangle_kcore_decomposition(graph, backend=backend).kappa,
+                triangle_supports(graph, backend=backend),
+                count_triangles(graph, backend=backend),
+            )
+        for entry, got in answers.items():
+            assert got == expected, (
+                f"backend {backend!r} disagrees with reference on {name!r} "
+                f"through the {entry}"
+            )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("path", CORPUS_PATHS, ids=os.path.basename)
@@ -197,9 +204,19 @@ class TestErrorContracts:
     )
     def test_membership_refused_by_non_reference(self, backend):
         graph = complete_graph(4)
-        engine = fresh_engine()
-        with pytest.raises(ValueError, match="membership"):
-            engine.decompose(graph, backend=backend, store_membership=True)
+        message = (
+            f"backend={backend!r} does not support membership bookkeeping; "
+            "use backend='reference' (or 'auto')"
+        )
+        with pytest.raises(ValueError) as refused:
+            fresh_engine().decompose(graph, backend=backend, store_membership=True)
+        assert str(refused.value) == message
+        if backend not in ENGINE_ONLY_BACKENDS:
+            with pytest.raises(ValueError) as refused:
+                triangle_kcore_decomposition(
+                    graph, backend=backend, store_membership=True
+                )
+            assert str(refused.value) == message
 
     def test_membership_served_by_reference_and_auto(self):
         graph = complete_graph(4)
@@ -226,21 +243,9 @@ class TestErrorContracts:
             resolve_backend("warp", complete_graph(4))
 
     def test_backends_listing_matches_registry(self):
-        engine = fresh_engine()
-        assert engine.backends() == BACKENDS
-        register_mirror(engine)
-        assert "mirror" in engine.backends()
-        # The module constant is itself registry-derived.
-        assert BACKENDS == ("auto",) + tuple(_BUILTIN_BACKENDS)
-
-    def test_registered_backend_is_cached_like_builtins(self):
-        engine = Engine(max_cached_graphs=4)
-        register_mirror(engine)
-        graph = complete_graph(5)
-        first = engine.decompose(graph, backend="mirror")
-        second = engine.decompose(graph, backend="mirror")
-        assert first is second
-        assert engine.stats.cache_hits == 1
+        assert fresh_engine().backends() == BACKENDS
+        # The engine's names are the table's rows plus the engine-only ones.
+        assert BACKENDS == ("auto",) + tuple(BACKEND_OPS) + ENGINE_ONLY_BACKENDS
 
 
 # ------------------------------------------------------------------ #

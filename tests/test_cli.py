@@ -60,11 +60,15 @@ class TestDecompose:
         assert main(["decompose", "synthetic"]) == 0
         assert "kappa histogram" in capsys.readouterr().out
 
-    def test_membership_with_csr_backend_is_rejected(self, edge_file, capsys):
-        # PR 1 error path: the CSR kernels cannot track AddToCore/DelFromCore
-        # state, so an explicit csr request with membership must fail loudly.
+    @pytest.mark.parametrize("backend", ["csr", "csr-vec", "external", "dynamic"])
+    def test_membership_with_csr_backend_is_rejected(
+        self, edge_file, capsys, backend
+    ):
+        # Only the reference backend tracks AddToCore/DelFromCore state, so
+        # an explicit request for any other backend with membership must
+        # fail loudly.
         assert main(
-            ["decompose", edge_file, "--backend", "csr", "--membership"]
+            ["decompose", edge_file, "--backend", backend, "--membership"]
         ) == 2
         err = capsys.readouterr().err
         assert "--membership" in err

@@ -82,7 +82,7 @@ class TestGraphVersion:
 
 
 # ---------------------------------------------------------------------- #
-# dispatch + registry
+# dispatch
 # ---------------------------------------------------------------------- #
 
 
@@ -115,30 +115,6 @@ class TestDispatch:
     def test_membership_rejected_off_reference(self, kite, backend):
         with pytest.raises(ValueError, match="membership"):
             Engine().decompose(kite, backend=backend, store_membership=True)
-
-    def test_register_custom_backend(self, kite):
-        engine = Engine()
-        calls = []
-
-        def constant(engine_, graph, store_membership):
-            calls.append(graph)
-            return triangle_kcore_decomposition(graph)
-
-        engine.register_backend("traced", constant)
-        assert "traced" in engine.backends()
-        result = engine.decompose(kite, backend="traced")
-        assert calls == [kite]
-        assert result.kappa == triangle_kcore_decomposition(kite).kappa
-
-    def test_register_rejects_auto_and_duplicates(self):
-        engine = Engine()
-        fn = lambda e, g, m: None  # noqa: E731
-        with pytest.raises(ValueError):
-            engine.register_backend("auto", fn)
-        engine.register_backend("mine", fn)
-        with pytest.raises(ValueError, match="already registered"):
-            engine.register_backend("mine", fn)
-        engine.register_backend("mine", fn, replace=True)  # explicit ok
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -687,6 +687,47 @@ class TestEngineSurface:
         triangle_kcore_decomposition(graph)
         assert calls == [graph, graph]
 
+    def test_counts_and_supports_run_the_csr_kernel(self, monkeypatch):
+        # external's supports and count are in-RAM CSR kernel answers; they
+        # never fall back to the dict reference enumeration.
+        import repro.graph.triangles as triangles_mod
+        from repro.engine import Engine
+
+        graph = graph_zoo()["er_medium"]
+        want = (
+            triangles_mod.count_triangles(graph, backend="reference"),
+            triangles_mod.triangle_supports(graph, backend="reference"),
+        )
+        calls = []
+        real = triangles_mod.enumerate_triangles
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(triangles_mod, "enumerate_triangles", spy)
+
+        def answers(backend):
+            engine = Engine(max_cached_graphs=0)
+            return [
+                (
+                    engine.count_triangles(graph, backend=backend),
+                    engine.triangle_supports(graph, backend=backend),
+                ),
+                (
+                    triangles_mod.count_triangles(graph, backend=backend),
+                    triangles_mod.triangle_supports(graph, backend=backend),
+                ),
+            ]
+
+        got = answers("external")
+        # auto's out-of-core escalation lands in the same row.
+        monkeypatch.setattr(fast_mod, "AUTO_EXTERNAL_MIN_EDGES", 1)
+        assert fast_mod.resolve_backend("auto", graph) == "external"
+        got += answers("auto")
+        assert calls == []
+        assert got == [want] * 4
+
     def test_membership_refused(self):
         from repro.engine import Engine
 

@@ -1,7 +1,7 @@
 """Behaviour the removed process-parallel backend shared with what remains.
 
 The ``parallel``/``parallel-vec`` backends and their worker pools are
-gone, but three things they were tested for live on, and their tests keep
+gone, but two things they were tested for live on, and their tests keep
 their names here:
 
 * the arc-balanced vertex-range partition policy, now implemented only by
@@ -9,8 +9,7 @@ their names here:
   backend's partitioned enumeration), including the hypothesis tiling
   property and the per-range merge of the kernels' ``lo``/``hi`` scans;
 * :class:`~repro.exceptions.BackendError` as a :class:`ReproError`,
-  re-exported by :mod:`repro.fast`;
-* the :meth:`Engine.map_decompose` batch API.
+  re-exported by :mod:`repro.fast`.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fast as fast_mod
-from repro.engine import Engine
 from repro.exceptions import BackendError, ReproError
 from repro.fast import CSRGraph, supports_and_triangles
 from repro.fast.external import _partition_ranges
-from repro.graph import Graph, complete_graph, erdos_renyi
+from repro.graph import Graph, erdos_renyi
 
 
 def er(seed: int = 0, n: int = 60, p: float = 0.15) -> Graph:
@@ -140,36 +138,3 @@ class TestFailureContract:
     def test_backend_error_is_repro_error(self):
         assert issubclass(BackendError, ReproError)
         assert fast_mod.BackendError is BackendError
-
-
-# ------------------------------------------------------------------ #
-# Engine.map_decompose
-# ------------------------------------------------------------------ #
-
-
-class TestMapDecompose:
-    def test_results_in_input_order(self):
-        engine = Engine()
-        g1, g2 = complete_graph(4), complete_graph(5)
-        r1, r2 = engine.map_decompose([g1, g2], backend="csr")
-        assert r1.max_kappa == 2
-        assert r2.max_kappa == 3
-
-    def test_duplicates_served_from_cache(self):
-        engine = Engine()
-        graph = er(seed=11)
-        results = engine.map_decompose([graph, graph, graph])
-        assert results[0] is results[1] is results[2]
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.counters["batch_calls"] == 1
-        assert engine.stats.counters["batch_graphs"] == 3
-
-    def test_mutation_between_batches_invalidates(self):
-        engine = Engine()
-        graph = complete_graph(4)
-        (first,) = engine.map_decompose([graph])
-        graph.add_edge(0, 99)
-        graph.add_edge(1, 99)
-        (second,) = engine.map_decompose([graph])
-        assert second is not first
-        assert second.kappa_of(0, 99) == 1
